@@ -19,6 +19,7 @@ from .errors import (
 )
 from .forward_verifier import (
     ResidualReport,
+    forward,
     forward_montecarlo,
     forward_power,
     forward_quadform_mc,
@@ -91,6 +92,7 @@ __all__ = [
     "forward_power",
     "forward_montecarlo",
     "forward_quadform_mc",
+    "forward",
     "verify",
     "SphereVolume",
     "gamma",

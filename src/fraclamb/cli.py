@@ -27,6 +27,7 @@ import numpy as np
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, FracLambError, SelectorError
 from .forward_verifier import (
+    forward,
     forward_power,
     forward_quadform_mc,
     forward_radial,
@@ -279,24 +280,13 @@ def _cmd_solve(req: CliRequest) -> int:
     return 0
 
 
-def _forward_value(spec: ProblemSpec, g: SmoothFunction, x: float,
-                   cfg: QuadratureConfig) -> float:
-    if spec.variant == "classic":
-        return forward_power(g, 2, x, cfg)
-    if spec.variant == "power":
-        return forward_power(g, spec.m, x, cfg)
-    if spec.variant == "symmetric_ndim":
-        return forward_radial(g, spec.n, x, cfg)
-    return forward_quadform_mc(g, spec.A, x, cfg)[0]
-
-
 def _cmd_forward(req: CliRequest) -> int:
     if req.count < 2:
         raise DomainError(f"count must be >= 2, got {req.count}")
     a, b = req.window
     step = (b - a) / (req.count - 1)
     nodes = a + np.arange(req.count) * step
-    values = [_forward_value(req.spec, req.function, float(x), req.cfg) for x in nodes]
+    values = [forward(req.spec, req.function, float(x), req.cfg)[0] for x in nodes]
     grid = GridFunction(x_start=a, x_step=step, values=np.array(values))
     _emit(_grid_payload(grid, req.format), req.output_path)
     return 0
@@ -500,7 +490,7 @@ def main(argv=None) -> int:
     except (SelectorError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FracLambError as exc:
+    except (FracLambError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

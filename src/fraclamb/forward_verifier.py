@@ -2,16 +2,20 @@
 
 Solving is only half the job: every solution here is meant to be pushed
 back through the original integral operator and compared against the
-right-hand side. Three forward evaluators cover the four equation variants:
+right-hand side. ``forward`` maps each equation variant to its forward
+evaluator, in this one place:
 
+* ``forward_power``: the half-line integral int_0^inf u(x - y^m) dy, for
+  the classic (m = 2) and power variants;
 * ``forward_radial``: the polar-coordinate reduction of the full-space
   integral, Vol(S^(n-1)) * int_0^inf r^(n-1) u(x - r^2) dr, exact up to
-  1-D quadrature in any dimension;
-* ``forward_power``: the half-line integral int_0^inf u(x - y^m) dy;
-* ``forward_montecarlo`` / ``forward_quadform_mc``: plain Monte Carlo over
-  a truncated box in Cartesian coordinates, up to n = 4. Agreement between
-  the Monte Carlo and radial routes is the numerical witness for the polar
-  Jacobian r^(n-1) sin^(n-2)(...) that justifies the reduction.
+  1-D quadrature in any dimension, for the symmetric n-dimensional variant;
+* ``forward_quadform_mc``: plain Monte Carlo over a truncated box in
+  Cartesian coordinates, up to n = 4, for the quadratic-form variant.
+  ``forward_montecarlo`` is the same estimator with A = identity.
+  Agreement between the Monte Carlo and radial routes is the numerical
+  witness for the polar Jacobian r^(n-1) sin^(n-2)(...) that justifies
+  the reduction.
 
 Monte Carlo uses the counter-based Philox generator keyed on (seed, probe
 point), so estimates are bit-identical for a fixed seed and independent
@@ -40,6 +44,7 @@ __all__ = [
     "forward_power",
     "forward_montecarlo",
     "forward_quadform_mc",
+    "forward",
     "verify",
 ]
 
@@ -108,8 +113,15 @@ def _probe_rng(seed: int, x: float) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mc_box_core(u: SmoothFunction, A: PosDefMatrix, x: float,
-                 cfg: QuadratureConfig) -> tuple[float, float]:
+def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
+                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+    """Monte Carlo estimate of int_{R^n} u(x - y^T A y) dy, n <= 4.
+
+    Returns (estimate, standard_error); bit-identical for a fixed
+    cfg.mc_seed.
+    """
+    if not isinstance(A, PosDefMatrix):
+        A = PosDefMatrix(A)
     n = A.n
     if n > _MC_DIM_CAP:
         raise DimensionCapError(
@@ -138,27 +150,29 @@ def _mc_box_core(u: SmoothFunction, A: PosDefMatrix, x: float,
 
 def forward_montecarlo(u: SmoothFunction, n: int, x: float,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Plain Monte Carlo estimate of int_{R^n} u(x - |y|^2) dy, n <= 4.
-
-    Returns (estimate, standard_error); bit-identical for a fixed
-    cfg.mc_seed.
-    """
+    """Plain Monte Carlo estimate of int_{R^n} u(x - |y|^2) dy, n <= 4:
+    forward_quadform_mc with A = identity."""
     n = int(n)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    return _mc_box_core(u, PosDefMatrix.identity(n), x, cfg)
+    return forward_quadform_mc(u, PosDefMatrix.identity(n), x, cfg)
 
 
-def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Monte Carlo estimate of int_{R^n} u(x - y^T A y) dy, n <= 4.
+def forward(spec: ProblemSpec, u: SmoothFunction, x: float,
+            cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float | None]:
+    """Apply the forward operator of ``spec``'s equation to u at x.
 
-    With A = identity this reproduces forward_montecarlo exactly (same
-    sampler, same box, same arithmetic).
+    Returns (value, standard_error). The standard error is None for the
+    deterministic quadrature routes; only the quadform variant, certified
+    by Monte Carlo, has one.
     """
-    if not isinstance(A, PosDefMatrix):
-        A = PosDefMatrix(A)
-    return _mc_box_core(u, A, x, cfg)
+    if spec.variant == "classic":
+        return forward_power(u, 2, x, cfg), None
+    if spec.variant == "power":
+        return forward_power(u, spec.m, x, cfg), None
+    if spec.variant == "symmetric_ndim":
+        return forward_radial(u, spec.n, x, cfg), None
+    return forward_quadform_mc(u, spec.A, x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +230,11 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
     u = solve_problem(spec, f, cfg)
     xs = a + np.arange(probes) * ((b - a) / (probes - 1))
     f_vals = [float(f(x)) for x in xs]
-    std_errors = None
-
-    forwards = []
-    if spec.variant == "classic":
-        forwards = [forward_power(u, 2, x, cfg) for x in xs]
-    elif spec.variant == "power":
-        forwards = [forward_power(u, spec.m, x, cfg) for x in xs]
-    elif spec.variant == "symmetric_ndim":
-        forwards = [forward_radial(u, spec.n, x, cfg) for x in xs]
-    else:
-        pairs = [forward_quadform_mc(u, spec.A, x, cfg) for x in xs]
-        forwards = [p[0] for p in pairs]
-        std_errors = [p[1] for p in pairs]
+    pairs = [forward(spec, u, x, cfg) for x in xs]
+    forwards = [value for value, _ in pairs]
+    std_errors = [se for _, se in pairs]
+    if std_errors[0] is None:
+        std_errors = None
 
     f_max = max((abs(v) for v in f_vals), default=0.0)
     rows = []

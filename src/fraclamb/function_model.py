@@ -542,7 +542,14 @@ class GridFunction:
             vs.append(float(sv))
         if len(xs) < 1:
             raise DomainError("empty grid")
-        step = xs[1] - xs[0] if len(xs) > 1 else 1.0
+        step = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else 1.0
+        # to_csv writes the nodes as x_start + i * x_step; take the step within
+        # one ulp of the endpoint estimate that reproduces every one of them.
+        index = np.arange(len(xs))
+        for candidate in (step, math.nextafter(step, -math.inf), math.nextafter(step, math.inf)):
+            if np.array_equal(xs[0] + index * candidate, xs):
+                step = candidate
+                break
         return cls(x_start=xs[0], x_step=step, values=np.array(vs))
 
     def to_json(self) -> str:

@@ -19,16 +19,15 @@ calculus as the rest (using int_0^inf e^{-a y^m} dy = Gamma(1+1/m) a^{-1/m}
 and y = A^{-1/2} z respectively); every solver output is meant to be
 certified against its forward operator, see forward_verifier.
 
-Solutions are returned lazily: evaluation happens on demand (vectorized,
-with small-batch memoization) because downstream verification picks its
-quadrature nodes adaptively.
+Solutions are returned lazily: evaluation happens on demand and is
+vectorized, because downstream verification picks its quadrature nodes
+adaptively.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,34 +52,6 @@ __all__ = [
 # exponential- and Gaussian-type decay of the built-in family (rates >= 1/4).
 _TAIL_MARGIN = 4.0
 
-_MEMO_BYPASS = 4096  # arrays larger than this skip the cache
-
-
-class _Memoized:
-    """Pointwise cache around a vectorized evaluator (thread-safe)."""
-
-    def __init__(self, batch_fn):
-        self._fn = batch_fn
-        self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        shape = xs.shape
-        flat = xs.ravel()
-        if flat.size > _MEMO_BYPASS:
-            return np.asarray(self._fn(flat), dtype=float).reshape(shape)
-        keys = flat.tolist()
-        with self._lock:
-            misses = sorted({k for k in keys if k not in self._cache})
-        if misses:
-            vals = np.asarray(self._fn(np.array(misses)), dtype=float)
-            with self._lock:
-                self._cache.update(zip(misses, vals.tolist()))
-        with self._lock:
-            out = np.array([self._cache[k] for k in keys])
-        return out.reshape(shape)
-
 
 def _lazy_solution(batch_eval, f: SmoothFunction, scale: float, label: str) -> CallableFunction:
     tail = None
@@ -89,7 +60,7 @@ def _lazy_solution(batch_eval, f: SmoothFunction, scale: float, label: str) -> C
         tail = lambda L: _TAIL_MARGIN * abs(scale) * f.tail_bound(L)
         vtail = tail
     return CallableFunction(
-        _Memoized(batch_eval),
+        batch_eval,
         derivative_order=0,
         tail_bound=tail,
         value_tail_bound=vtail,

@@ -11,9 +11,12 @@ from fraclamb import (
     Exponential,
     GaussTail,
     GridFunction,
+    PosDefMatrix,
+    ProblemSpec,
     QuadratureConfig,
     SelectorError,
     ShiftedGaussian,
+    forward,
     sample,
     solve_ndim,
 )
@@ -128,14 +131,34 @@ def test_not_positive_definite_matrix_exits_three(tmp_path):
     assert "numerical error" in result.stderr
 
 
-def test_forward_command_values():
-    result = run_cli("forward", "--variant", "classic", "--function",
-                     "exp:lambda=1", "--window", "0:1", "--count", "3")
+@pytest.mark.parametrize("variant_args, spec, factor", [
+    (["classic"], ProblemSpec(variant="classic"), math.gamma(1.5)),
+    (["power", "-m", "3"], ProblemSpec(variant="power", m=3), math.gamma(4.0 / 3.0)),
+    (["symmetric_ndim", "-n", "3"], ProblemSpec(variant="symmetric_ndim", n=3), math.pi ** 1.5),
+    (["quadform", "--matrix", "2"], ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0]])), None),
+], ids=["classic", "power", "symmetric_ndim", "quadform"])
+def test_forward_command_values(variant_args, spec, factor):
+    result = run_cli("forward", "--variant", *variant_args, "--function",
+                     "exp:lambda=1", "--window", "0:1", "--count", "3",
+                     "--mc-samples", "1000")
     assert result.returncode == 0
     grid = GridFunction.from_csv(result.stdout)
-    # Forward of e^x through the classic operator is Gamma(3/2) e^x.
-    want = math.gamma(1.5) * np.exp(grid.nodes)
-    assert np.allclose(grid.values, want, rtol=1e-8)
+    assert np.array_equal(grid.nodes, np.array([0.0, 0.5, 1.0]))
+    cfg = QuadratureConfig(mc_samples=1000)
+    want = [forward(spec, Exponential(1.0), float(x), cfg)[0] for x in grid.nodes]
+    assert np.array_equal(grid.values, want)
+    if factor is not None:
+        # Forward of e^x through each half-line or radial operator is a
+        # constant times e^x.
+        assert np.allclose(grid.values, factor * np.exp(grid.nodes), rtol=1e-8)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_overflow_is_a_numerical_error(command):
+    result = run_cli(command, "--variant", "classic", "--function",
+                     "exp:lambda=1", "--window", "700:705")
+    assert result.returncode == 3
+    assert "numerical error" in result.stderr
 
 
 def test_verify_pass_and_threshold_failure():

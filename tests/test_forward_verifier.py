@@ -14,6 +14,7 @@ from fraclamb import (
     ProblemSpec,
     QuadratureConfig,
     ShiftedGaussian,
+    forward,
     forward_montecarlo,
     forward_power,
     forward_quadform_mc,
@@ -196,6 +197,21 @@ def test_verify_quadform_mc_round_trip():
     assert report.std_errors is not None
     for (x, fx, fwd, res), se in zip(report.rows, report.std_errors):
         assert abs(res) < 4.0 * se
+
+
+def test_forward_has_standard_error_only_for_quadform():
+    cfg = QuadratureConfig(mc_samples=1000)
+    f = Exponential(1.0)
+    for spec in (
+        ProblemSpec(variant="classic"),
+        ProblemSpec(variant="power", m=3),
+        ProblemSpec(variant="symmetric_ndim", n=3),
+    ):
+        value, se = forward(spec, f, 0.0, cfg)
+        assert se is None
+        assert value > 0.0
+    spec = ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0]]))
+    assert forward(spec, f, 0.0, cfg) == forward_quadform_mc(f, spec.A, 0.0, cfg)
 
 
 def test_verify_validation():

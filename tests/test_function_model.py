@@ -188,13 +188,15 @@ def test_grid_function_validation():
 
 
 def test_grid_function_csv_round_trip():
-    grid = sample(Exponential(1.3), -1.0, 2.0, 11)
-    back = GridFunction.from_csv(grid.to_csv())
-    # 17 significant digits make the values bitwise; the step is recovered
-    # from node differences, so only the nodes themselves are exact.
-    assert np.array_equal(back.values, grid.values)
-    assert back.x_start == grid.x_start
-    assert back.x_step == pytest.approx(grid.x_step, rel=1e-15)
+    # 17 significant digits make values and nodes bitwise, and the step is
+    # recovered exactly from them.
+    for f, a, b, count in ((Exponential(1.3), -1.0, 2.0, 11), (Exponential(1.0), -1.0, 1.0, 7)):
+        grid = sample(f, a, b, count)
+        back = GridFunction.from_csv(grid.to_csv())
+        assert np.array_equal(back.values, grid.values)
+        assert back.x_start == grid.x_start
+        assert back.x_step == grid.x_step
+        assert np.array_equal(back.nodes, grid.nodes)
 
 
 def test_grid_function_json_round_trip():

@@ -229,27 +229,12 @@ def test_solutions_do_not_expose_derivatives():
         u.derivative(1, 0.0)
 
 
-def test_memoization_reuses_values():
-    from fraclamb import CallableFunction
-
-    calls = {"n": 0}
-
-    def counting_derivative(k, x):
-        calls["n"] += 1
-        return np.exp(x)
-
-    f = CallableFunction(
-        lambda x: np.exp(x),
-        derivative=counting_derivative,
-        derivative_order=4,
-        tail_bound=lambda L: math.exp(L),
-    )
-    u = solve_ndim(f, 2, CFG)  # even path evaluates f' directly
-    first = u(0.5)
-    count_after_first = calls["n"]
-    assert count_after_first >= 1
-    assert u(0.5) == first
-    assert calls["n"] == count_after_first
+def test_value_does_not_depend_on_call_history():
+    # A solution is a function of its inputs only: evaluating other points
+    # first must not change a later value.
+    u = solve_classic(Exponential(1.0))
+    u(np.array([0.0, 5.0]))
+    assert u(0.0) == solve_classic(Exponential(1.0))(0.0)
 
 
 def test_concurrent_evaluation_is_consistent():
