@@ -61,9 +61,3 @@ def integrate_batch(integrand, uppers: np.ndarray, cfg: QuadratureConfig) -> np.
         f"(last error estimate {err:.3g})",
         estimate=estimate, error_estimate=err,
     )
-
-
-def integrate(integrand, upper: float, cfg: QuadratureConfig) -> float:
-    """Scalar convenience wrapper around :func:`integrate_batch`."""
-    result = integrate_batch(lambda s: integrand(s), np.array([float(upper)]), cfg)
-    return float(result[0])

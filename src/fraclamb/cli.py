@@ -209,9 +209,9 @@ def _load_matrix(raw: str) -> PosDefMatrix:
     try:
         with open(raw, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise DomainError(f"matrix file not found: {raw}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DomainError(f"cannot read matrix file {raw}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for binary files
         raise DomainError(f"matrix file {raw} is not valid JSON: {exc}") from None
     return PosDefMatrix(data)
 
@@ -263,8 +263,11 @@ def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _grid_payload(grid: GridFunction, fmt: str) -> str:
@@ -305,7 +308,9 @@ def _cmd_verify(req: CliRequest) -> int:
             threshold = _DEFAULT_THRESHOLD
     payload = report.to_csv() if req.format == "csv" else report.to_json() + "\n"
     _emit(payload, req.output_path)
-    passed = report.max_rel_residual < threshold
+    # NaN compares false, so a non-finite residual or standard error fails.
+    passed = report.max_rel_residual < threshold and all(
+        math.isfinite(se) for se in report.std_errors or ())
     print(
         f"max_rel_residual={report.max_rel_residual:.6g} "
         f"threshold={threshold:.6g} {'PASS' if passed else 'FAIL'}",
@@ -405,8 +410,9 @@ def _selftest_checks(cfg: QuadratureConfig):
     worst = 0.0
     for n in (2, 4):
         direct = solve_ndim(f, n, cfg)
-        frac = solve_ndim(f, n, cfg, fractional_path=True)
-        worst = max(worst, float(np.max(np.abs(frac(probe) / direct(probe) - 1.0))))
+        order = FractionalOrder(nu=n // 2, k=n // 2 + 1, mu=1.0)
+        frac = math.pi ** (-n / 2.0) * frac_derivative(f, order, probe, cfg)
+        worst = max(worst, float(np.max(np.abs(frac / direct(probe) - 1.0))))
     yield "even_direct_vs_fractional", worst, 1e-7
 
     worst = 0.0

@@ -7,6 +7,7 @@ run end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -19,38 +20,33 @@ class QuadratureConfig:
     """Knobs for deterministic quadrature and Monte Carlo estimation.
 
     Attributes:
-        tol: target absolute error, scaled as tol * (1 + |result|).
+        tol: target absolute error, scaled as tol * (1 + |result|); finite.
         max_panels: cap on composite Gauss-Legendre panels (power of two).
         mc_samples: Monte Carlo sample count.
         mc_seed: 64-bit seed for the counter-based generator; estimates are
             bit-identical across runs for a fixed seed.
-        cutoff_epsilon: relative tail mass at which improper integrals are
-            truncated.
-        radial_upper: explicit truncation of the half-line integration
-            variable (r, y, or the substituted Weyl variable); None means
-            derive it from the integrand's decay metadata.
+
+    Improper integrals are always truncated from the integrand's decay
+    metadata, at relative tail mass function_model.CUTOFF_EPSILON.
+
+    Raises:
+        DomainError: a field is out of range.
     """
 
     tol: float = 1e-9
     max_panels: int = 4096
     mc_samples: int = 1_000_000
     mc_seed: int = 0xC0FFEE
-    cutoff_epsilon: float = 1e-12
-    radial_upper: float | None = None
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_panels < 1 or self.max_panels & (self.max_panels - 1):
             raise DomainError(f"max_panels must be a power of two, got {self.max_panels}")
         if self.mc_samples < 1000:
             raise DomainError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if not 0 <= int(self.mc_seed) < 2 ** 64:
             raise DomainError(f"mc_seed must fit in 64 bits, got {self.mc_seed}")
-        if not self.cutoff_epsilon > 0.0:
-            raise DomainError(f"cutoff_epsilon must be > 0, got {self.cutoff_epsilon}")
-        if self.radial_upper is not None and not self.radial_upper > 0.0:
-            raise DomainError(f"radial_upper must be > 0, got {self.radial_upper}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -14,7 +14,7 @@ class DomainError(FracLambError, ValueError):
 
 
 class NoDecayError(FracLambError):
-    """The function carries no decay metadata and no explicit cutoff was given.
+    """The function carries no decay metadata.
 
     Improper integrals with lower limit -inf (or upper limit +inf in the
     radial direction) cannot be truncated without knowing how fast the

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
-from .errors import DimensionCapError, DomainError
-from .function_model import SmoothFunction, effective_lower_cutoff
+from .errors import DimensionCapError, DomainError, FracLambError
+from .function_model import CUTOFF_EPSILON, SmoothFunction, effective_lower_cutoff
 from .lamb_solver import PosDefMatrix, ProblemSpec, solve_problem
 from .special_functions import sphere_volume
 
@@ -50,7 +50,7 @@ __all__ = [
 
 # Relative truncation bias allowed for the Monte Carlo box. Tighter boxes
 # mean lower estimator variance, so this is deliberately looser than
-# cutoff_epsilon while staying far below the estimator's standard error.
+# CUTOFF_EPSILON while staying far below the estimator's standard error.
 _MC_BOX_BIAS = 1e-8
 
 _MC_DIM_CAP = 4
@@ -59,6 +59,8 @@ _MC_DIM_CAP = 4
 def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
     """Distance below x past which |u| stays under epsilon * local scale."""
     scale = abs(float(u(x))) or 1.0
+    if not math.isfinite(scale):
+        raise FracLambError(f"{u.label}: non-finite value ({scale}) at x = {x}")
     L = effective_lower_cutoff(u, epsilon * scale, value_only=True)
     return max(float(x) - L, 1e-12)
 
@@ -75,16 +77,13 @@ def forward_radial(u: SmoothFunction, n: int, x: float,
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     x = float(x)
-    if cfg.radial_upper is not None:
-        R = float(cfg.radial_upper)
-    else:
-        R = math.sqrt(_decay_span(u, x, cfg.cutoff_epsilon))
+    R = math.sqrt(_decay_span(u, x, CUTOFF_EPSILON))
     vol = sphere_volume(n).value
 
     def integrand(r):
         return r ** (n - 1) * u.evaluate(x - r * r)
 
-    return vol * _quad.integrate(integrand, R, cfg)
+    return vol * float(_quad.integrate_batch(integrand, np.array([R]), cfg)[0])
 
 
 def forward_power(u: SmoothFunction, m: int, x: float,
@@ -94,15 +93,12 @@ def forward_power(u: SmoothFunction, m: int, x: float,
     if m < 1:
         raise DomainError(f"power exponent must be >= 1, got {m}")
     x = float(x)
-    if cfg.radial_upper is not None:
-        Y = float(cfg.radial_upper)
-    else:
-        Y = _decay_span(u, x, cfg.cutoff_epsilon) ** (1.0 / m)
+    Y = _decay_span(u, x, CUTOFF_EPSILON) ** (1.0 / m)
 
     def integrand(y):
         return u.evaluate(x - y ** m)
 
-    return _quad.integrate(integrand, Y, cfg)
+    return float(_quad.integrate_batch(integrand, np.array([Y]), cfg)[0])
 
 
 def _probe_rng(seed: int, x: float) -> np.random.Generator:
@@ -129,13 +125,9 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
             "use the radial route for higher dimensions"
         )
     x = float(x)
-    if cfg.radial_upper is not None:
-        span = float(cfg.radial_upper) ** 2
-    else:
-        span = _decay_span(u, x, _MC_BOX_BIAS)
     # y^T A y >= min_pivot |y|^2 on the box, so this radius pushes the
     # integrand below the bias target at the box boundary.
-    R = math.sqrt(span / A.min_pivot)
+    R = math.sqrt(_decay_span(u, x, _MC_BOX_BIAS) / A.min_pivot)
 
     rng = _probe_rng(cfg.mc_seed, x)
     y = rng.uniform(-R, R, size=(cfg.mc_samples, n))
@@ -218,7 +210,8 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
     probe points, and report the residuals forward(u) - f.
 
     Relative residuals are normalized by max(|f(x)|, 1e-300 * max|f|) so
-    windows where f vanishes do not blow up the report.
+    windows where f vanishes do not blow up the report. A NaN residual
+    makes both maxima NaN.
     """
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -238,24 +231,22 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
 
     f_max = max((abs(v) for v in f_vals), default=0.0)
     rows = []
-    max_abs = 0.0
-    max_rel = 0.0
+    rels = []
     for x, fx, fwd in zip(xs, f_vals, forwards):
         res = fwd - fx
         denom = max(abs(fx), 1e-300 * f_max)
         if denom > 0.0:
-            rel = abs(res) / denom
+            rels.append(abs(res) / denom)
         else:
-            rel = 0.0 if res == 0.0 else math.inf
+            rels.append(0.0 if res == 0.0 else math.inf)
         rows.append((float(x), fx, fwd, res))
-        max_abs = max(max_abs, abs(res))
-        max_rel = max(max_rel, rel)
 
+    # np.max, unlike max(), lets a NaN residual through to the report.
     return ResidualReport(
         window=(a, b),
         probe_count=probes,
-        max_abs_residual=max_abs,
-        max_rel_residual=max_rel,
+        max_abs_residual=float(np.max([abs(row[3]) for row in rows])),
+        max_rel_residual=float(np.max(rels)),
         rows=rows,
         std_errors=std_errors,
     )

@@ -28,8 +28,9 @@ import numpy as np
 
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
-from .errors import DomainError, UnsupportedOrderError
-from .function_model import CallableFunction, SmoothFunction, effective_lower_cutoff
+from .errors import DomainError, FracLambError, UnsupportedOrderError
+from .function_model import (CUTOFF_EPSILON, NUMERIC_ORDER_SLACK, CallableFunction,
+                             SmoothFunction, effective_lower_cutoff)
 from .special_functions import gamma
 
 __all__ = ["FractionalOrder", "weyl_integral", "frac_derivative"]
@@ -113,12 +114,11 @@ def _weyl_batch(g: SmoothFunction, mu: float, xs,
 
     # Truncation point of the -inf limit, relative to the batch's own scale
     # so windows deep in the decaying tail keep their relative accuracy.
-    if cfg.radial_upper is not None:
-        T = np.full_like(flat, float(cfg.radial_upper))
-    else:
-        scale = float(np.max(np.abs(g.evaluate(flat)))) or 1.0
-        L = effective_lower_cutoff(g, cfg.cutoff_epsilon * scale)
-        T = np.sqrt(np.maximum(flat - L, 0.0))
+    scale = float(np.max(np.abs(g.evaluate(flat)))) or 1.0
+    if not math.isfinite(scale):
+        raise FracLambError(f"{g.label}: non-finite values ({scale}) on the evaluation points")
+    L = effective_lower_cutoff(g, CUTOFF_EPSILON * scale)
+    T = np.sqrt(np.maximum(flat - L, 0.0))
 
     q, d = _flatten_exponent(mu)
     uppers = T ** (1.0 / q)
@@ -140,7 +140,10 @@ def weyl_integral(g: SmoothFunction, mu: float, x,
     and are integrated in a single vectorized pass.
 
     Raises:
-        NoDecayError: g lacks decay metadata and cfg.radial_upper is unset.
+        NoDecayError: g lacks decay metadata; declare a tail bound with
+            materialize(decay_like=...) or CallableFunction(tail_bound=...).
+        FracLambError: g is not finite on the points (its scale sets the
+            truncation point).
         ConvergenceError: panel doubling hit cfg.max_panels.
     """
     result = _weyl_batch(g, mu, x, cfg)
@@ -158,7 +161,7 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
     if k == 0:
         return f
     if k > f.derivative_order and not (
-        f.numeric_fallback and k <= f.derivative_order + 4
+        f.numeric_fallback and k <= f.derivative_order + NUMERIC_ORDER_SLACK
     ):
         raise UnsupportedOrderError(
             f"{f.label}: needs derivative order {k}, has {f.derivative_order}"

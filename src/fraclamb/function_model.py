@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, NoDecayError, UnsupportedOrderError
 
 __all__ = [
+    "CUTOFF_EPSILON",
     "SmoothFunction",
     "CallableFunction",
     "Exponential",
@@ -41,6 +42,9 @@ __all__ = [
 # How many orders past the declared analytic order the finite-difference
 # fallback will go. Stacked differences beyond that are numerically useless.
 NUMERIC_ORDER_SLACK = 4
+
+# Relative tail mass at which integrals with lower limit -inf are truncated.
+CUTOFF_EPSILON = 1e-12
 
 
 def _restore_shape(x, result):
@@ -163,18 +167,22 @@ class CallableFunction(SmoothFunction):
 # Built-in test family
 # ---------------------------------------------------------------------------
 
+def _finite(name: str, value, positive: bool = False) -> float:
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        raise DomainError(f"{name} must be finite{' and > 0' if positive else ''}, got {value}")
+    return value
+
+
 class Exponential(SmoothFunction):
     """x -> exp(lam * x), lam > 0. Eigenfunction of every operator here."""
 
     kind = "exp"
 
     def __init__(self, lam: float = 1.0, derivative_order: int = 8):
-        lam = float(lam)
-        if lam <= 0.0:
-            raise DomainError(f"exponential rate must be > 0 for decay, got {lam}")
-        self.lam = lam
+        self.lam = _finite("lambda", lam, positive=True)
         self.derivative_order = int(derivative_order)
-        self.label = f"exp(lambda={lam:g})"
+        self.label = f"exp(lambda={self.lam:g})"
 
     def evaluate(self, x):
         return np.exp(self.lam * x)
@@ -223,13 +231,10 @@ class GaussTail(SmoothFunction):
     kind = "gauss_tail"
 
     def __init__(self, lam: float = 1.0, c: float = 0.0, derivative_order: int = 8):
-        lam = float(lam)
-        if lam <= 0.0:
-            raise DomainError(f"gauss_tail rate must be > 0, got {lam}")
-        self.lam = lam
-        self.c = float(c)
+        self.lam = _finite("lambda", lam, positive=True)
+        self.c = _finite("c", c)
         self.derivative_order = int(derivative_order)
-        self.label = f"gauss_tail(lambda={lam:g}, c={self.c:g})"
+        self.label = f"gauss_tail(lambda={self.lam:g}, c={self.c:g})"
 
     def evaluate(self, x):
         t = np.atleast_1d(self.lam * (np.asarray(x, dtype=float) - self.c))
@@ -277,13 +282,10 @@ class ShiftedGaussian(SmoothFunction):
     kind = "shifted_gaussian"
 
     def __init__(self, sigma: float = 1.0, c: float = 0.0, derivative_order: int = 8):
-        sigma = float(sigma)
-        if sigma <= 0.0:
-            raise DomainError(f"gaussian width must be > 0, got {sigma}")
-        self.sigma = sigma
-        self.c = float(c)
+        self.sigma = _finite("sigma", sigma, positive=True)
+        self.c = _finite("c", c)
         self.derivative_order = int(derivative_order)
-        self.label = f"shifted_gaussian(sigma={sigma:g}, c={self.c:g})"
+        self.label = f"shifted_gaussian(sigma={self.sigma:g}, c={self.c:g})"
 
     def evaluate(self, x):
         t = (x - self.c) / self.sigma
@@ -465,7 +467,7 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
     if not f.has_decay:
-        raise NoDecayError(f"{f.label}: no decay metadata; supply an explicit cutoff")
+        raise NoDecayError(f"{f.label}: no decay metadata; declare a tail bound")
     bound = f.value_tail_bound if value_only else f.tail_bound
 
     # Bracket [lo, hi] with bound(lo) <= epsilon < bound(hi); the bound is

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import QuadratureConfig, DEFAULT_CONFIG
-from .errors import DomainError, NotPositiveDefiniteError, UnsupportedOrderError
+from .errors import DomainError, NotPositiveDefiniteError
 from .fractional_ops import derivative_view, _weyl_batch
 from .function_model import CallableFunction, SmoothFunction
 from .special_functions import gamma
@@ -53,31 +53,6 @@ __all__ = [
 _TAIL_MARGIN = 4.0
 
 
-def _lazy_solution(batch_eval, f: SmoothFunction, scale: float, label: str) -> CallableFunction:
-    tail = None
-    vtail = None
-    if f.has_decay:
-        tail = lambda L: _TAIL_MARGIN * abs(scale) * f.tail_bound(L)
-        vtail = tail
-    return CallableFunction(
-        batch_eval,
-        derivative_order=0,
-        tail_bound=tail,
-        value_tail_bound=vtail,
-        label=label,
-    )
-
-
-def _require_order(f: SmoothFunction, k: int, what: str):
-    if f.derivative_order < k and not (
-        f.numeric_fallback and k <= f.derivative_order + 4
-    ):
-        raise UnsupportedOrderError(
-            f"{what} needs {k} derivative(s) of {f.label}, "
-            f"which declares order {f.derivative_order}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Matrices and problem descriptions
 # ---------------------------------------------------------------------------
@@ -91,9 +66,14 @@ class PosDefMatrix:
     """
 
     def __init__(self, entries):
-        M = np.array(entries, dtype=float)
+        try:
+            M = np.array(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"matrix entries must be a rectangular array of numbers: {exc}") from None
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
             raise DomainError(f"expected a square matrix, got shape {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise DomainError("matrix entries must be finite")
         if not np.array_equal(M, M.T):
             raise DomainError("matrix must be symmetric (exact entry equality)")
         try:
@@ -183,48 +163,47 @@ class ProblemSpec:
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _solution(f: SmoothFunction, nu: float, const: float, label: str,
+              cfg: QuadratureConfig) -> SmoothFunction:
+    """u = const * D^nu f, the shape of every solution here.
+
+    With k = ceil(nu) and mu = k - nu, an integer order (mu = 0) is the
+    scaled derivative const * f^(k); otherwise u is const times the Weyl
+    integral of order mu of f^(k).
+    """
+    k = math.ceil(nu)
+    mu = k - nu
+    fk = derivative_view(f, k)
+    if mu == 0.0:
+        evaluate = lambda xs: const * fk.evaluate(xs)
+    else:
+        evaluate = lambda xs: const * _weyl_batch(fk, mu, xs, cfg)
+    tail = None
+    if f.has_decay:
+        tail = lambda L: _TAIL_MARGIN * abs(const) * f.tail_bound(L)
+    return CallableFunction(evaluate, derivative_order=0, tail_bound=tail, label=label)
+
+
 def solve_classic(f: SmoothFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothFunction:
     """u = (2 / sqrt(pi)) D^(1/2) f, the Bateman solution of the classic
     half-line equation."""
-    _require_order(f, 1, "solve_classic")
-    const = 2.0 / math.sqrt(math.pi)
-    fp = derivative_view(f, 1)
-
-    def evaluate(xs):
-        return const * _weyl_batch(fp, 0.5, xs, cfg)
-
-    return _lazy_solution(evaluate, f, const, f"u_classic[{f.label}]")
+    return _solution(f, 0.5, 2.0 / math.sqrt(math.pi), f"u_classic[{f.label}]", cfg)
 
 
-def solve_ndim(f: SmoothFunction, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
-               fractional_path: bool = False) -> SmoothFunction:
+def solve_ndim(f: SmoothFunction, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothFunction:
     """u = pi^(-n/2) D^(n/2) f for the symmetric full-space equation.
 
-    Even n uses the direct derivative pi^(-m) f^(m) (exact constants, no
-    quadrature). Odd n = 2m + 1 evaluates the Weyl half-integral of
-    f^(m+1). ``fractional_path`` forces even n through the integral
-    machinery as well (as D^(-1) f^(m+1)); it exists for consistency
-    checking, not for production use.
+    Even n = 2m is the plain derivative pi^(-m) f^(m) (exact constants, no
+    quadrature); odd n = 2m + 1 is the Weyl half-integral of f^(m+1).
+
+    Raises:
+        DomainError: n < 1.
+        UnsupportedOrderError: f cannot supply the derivative order needed.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    const = math.pi ** (-n / 2.0)
-    if n % 2 == 0:
-        m = n // 2
-        if fractional_path:
-            _require_order(f, m + 1, "solve_ndim (fractional path)")
-            fd = derivative_view(f, m + 1)
-            evaluate = lambda xs: const * _weyl_batch(fd, 1.0, xs, cfg)
-        else:
-            _require_order(f, m, "solve_ndim")
-            evaluate = lambda xs: const * np.asarray(f.derivative(m, xs), dtype=float)
-    else:
-        m = (n - 1) // 2
-        _require_order(f, m + 1, "solve_ndim")
-        fd = derivative_view(f, m + 1)
-        evaluate = lambda xs: const * _weyl_batch(fd, 0.5, xs, cfg)
-    return _lazy_solution(evaluate, f, const, f"u_ndim[n={n}]({f.label})")
+    return _solution(f, n / 2.0, math.pi ** (-n / 2.0), f"u_ndim[n={n}]({f.label})", cfg)
 
 
 def solve_power(f: SmoothFunction, m: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothFunction:
@@ -237,15 +216,7 @@ def solve_power(f: SmoothFunction, m: int, cfg: QuadratureConfig = DEFAULT_CONFI
     m = int(m)
     if m < 1:
         raise DomainError(f"power exponent must be >= 1, got {m}")
-    _require_order(f, 1, "solve_power")
-    const = 1.0 / gamma(1.0 + 1.0 / m)
-    if m == 1:
-        evaluate = lambda xs: np.asarray(f.derivative(1, xs), dtype=float)
-    else:
-        mu = 1.0 - 1.0 / m  # D^(1/m) = D^(-(1 - 1/m)) applied to f'
-        fp = derivative_view(f, 1)
-        evaluate = lambda xs: const * _weyl_batch(fp, mu, xs, cfg)
-    return _lazy_solution(evaluate, f, const, f"u_power[m={m}]({f.label})")
+    return _solution(f, 1.0 / m, 1.0 / gamma(1.0 + 1.0 / m), f"u_power[m={m}]({f.label})", cfg)
 
 
 def solve_quadform(f: SmoothFunction, A: PosDefMatrix,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclamb import Exponential, GaussTail, ShiftedGaussian
+from fraclamb import CallableFunction, Exponential, GaussTail, ShiftedGaussian
 
 
 @pytest.fixture
@@ -22,3 +22,15 @@ def rel_error(got, want, floor=0.0):
     denom = np.maximum(np.abs(want), floor * scale if scale > 0 else 1e-300)
     denom = np.where(denom == 0.0, 1e-300, denom)
     return float(np.max(np.abs(got - want) / denom))
+
+
+def nan_left_of_minus_three():
+    """e^x whose derivatives turn NaN left of -3. Every quadform probe on
+    [-1, 1] samples there, so every forward value is NaN."""
+    return CallableFunction(
+        np.exp,
+        derivative=lambda k, x: np.where(x < -3.0, np.nan, np.exp(x)),
+        derivative_order=8,
+        tail_bound=Exponential(1.0).tail_bound,
+        label="nan_left",
+    )

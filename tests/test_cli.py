@@ -20,7 +20,9 @@ from fraclamb import (
     sample,
     solve_ndim,
 )
+from fraclamb import cli, forward_verifier
 from fraclamb.cli import main, parse_function
+from conftest import nan_left_of_minus_three
 
 
 def run_cli(*args, env_extra=None):
@@ -217,3 +219,67 @@ def test_main_returns_int_for_direct_invocation(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("x,value")
+
+
+def _quadform_verify(tmp_path):
+    # n = 2, so the solution is a plain second derivative (no Weyl integral).
+    matrix = tmp_path / "A.json"
+    matrix.write_text("[[2.0, 1.0], [1.0, 2.0]]")
+    return ["verify", "--variant", "quadform", "--matrix", str(matrix),
+            "--function", "exp", "--window", "-1:1", "--probes", "3",
+            "--mc-samples", "1000"]
+
+
+def test_verify_fails_on_nan_residuals(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "parse_function", lambda selector: nan_left_of_minus_three())
+    assert main(_quadform_verify(tmp_path)) == 1
+    assert "max_rel_residual=nan" in capsys.readouterr().err
+
+
+def test_verify_fails_on_nan_standard_error(monkeypatch, tmp_path, capsys):
+    f = Exponential(1.0)
+    monkeypatch.setattr(forward_verifier, "forward", lambda spec, u, x, cfg: (f(x), math.nan))
+    assert main(_quadform_verify(tmp_path)) == 1
+    assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["non_numeric_matrix", "ragged_matrix", "matrix_not_utf8",
+                                  "matrix_is_directory", "output_dir_missing"])
+def test_bad_file_input_exits_two(kind, tmp_path, capsys):
+    matrix = tmp_path / "A.json"
+    matrix.write_bytes({"non_numeric_matrix": b'[["a"]]', "ragged_matrix": b"[[1, 2], [3]]",
+                        "matrix_not_utf8": b"[[\xff]]"}.get(kind, b"[[2.0]]"))
+    if kind == "matrix_is_directory":
+        matrix = tmp_path
+    argv = ["solve", "--variant", "quadform", "--matrix", str(matrix),
+            "--function", "exp", "--window", "-1:1", "--count", "3"]
+    if kind == "output_dir_missing":
+        argv += ["--output", str(tmp_path / "missing" / "u.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("selector, extra, name", [
+    ("exp:lambda=nan", [], "lambda"),
+    ("exp:lambda=inf", [], "lambda"),
+    ("gauss_tail:c=nan", [], "c"),
+    ("shifted_gaussian:sigma=nan", [], "sigma"),
+    ("exp", ["--tol", "inf"], "tol"),
+], ids=["lambda_nan", "lambda_inf", "c_nan", "sigma_nan", "tol_inf"])
+def test_non_finite_parameter_exits_two(selector, extra, name, capsys):
+    argv = ["solve", "--variant", "classic", "--function", selector,
+            "--window", "-1:1", "--count", "3", *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_finite_integrand_scale_exits_three(command, capsys):
+    # Finite input, but the derivatives overflow to NaN on the window.
+    assert main([command, "--variant", "classic", "--function",
+                 "shifted_gaussian:sigma=1e-200", "--window", "-1:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert "shifted_gaussian(sigma=1e-200" in err

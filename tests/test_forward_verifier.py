@@ -9,6 +9,7 @@ from fraclamb import (
     DimensionCapError,
     DomainError,
     Exponential,
+    FracLambError,
     GaussTail,
     PosDefMatrix,
     ProblemSpec,
@@ -19,11 +20,13 @@ from fraclamb import (
     forward_power,
     forward_quadform_mc,
     forward_radial,
+    materialize,
     sphere_volume,
     verify,
     zero_function,
 )
 from fraclamb.special_functions import gamma
+from conftest import nan_left_of_minus_three
 
 CFG = QuadratureConfig()
 SQRT_PI = math.sqrt(math.pi)
@@ -43,8 +46,6 @@ class TestQuadratureConfig:
             QuadratureConfig(max_panels=100)  # not a power of two
         with pytest.raises(DomainError):
             QuadratureConfig(mc_samples=10)
-        with pytest.raises(DomainError):
-            QuadratureConfig(cutoff_epsilon=-1.0)
 
 
 def test_forward_radial_examples():
@@ -78,8 +79,7 @@ def test_forward_radial_against_quad_oracle(n):
 
 
 def test_forward_radial_explicit_truncation():
-    cfg = QuadratureConfig(radial_upper=8.0)
-    got = forward_radial(Exponential(1.0), 2, 0.0, cfg)
+    got = forward_radial(Exponential(1.0), 2, 0.0, CFG)
     assert got == pytest.approx(math.pi, rel=1e-8)
 
 
@@ -235,3 +235,21 @@ def test_report_serialization_formats():
     assert obj["window"] == [-1.0, 1.0]
     assert len(obj["rows"]) == 5
     assert obj["max_rel_residual"] == report.max_rel_residual
+
+
+def test_verify_reports_nan_residuals():
+    # The report must say NaN instead of reading 0.
+    f = nan_left_of_minus_three()
+    spec = ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0, 1.0], [1.0, 2.0]]))
+    report = verify(spec, f, (-1.0, 1.0), 3, QuadratureConfig(mc_samples=1000))
+    assert all(math.isnan(fwd) for _, _, fwd, _ in report.rows)
+    assert math.isnan(report.max_abs_residual)
+    assert math.isnan(report.max_rel_residual)
+
+
+def test_decay_span_rejects_non_finite_scale():
+    u = materialize(lambda x: np.full(np.shape(x), np.nan),
+                    decay_like=Exponential(1.0), label="nan_everywhere")
+    with pytest.raises(FracLambError, match="nan_everywhere") as info:
+        forward_power(u, 2, 0.0, CFG)
+    assert not isinstance(info.value, DomainError)

@@ -93,10 +93,6 @@ def test_weyl_requires_decay_or_cutoff():
     plain = materialize(lambda x: np.exp(np.minimum(x, 0.0)))
     with pytest.raises(NoDecayError):
         weyl_integral(plain, 0.5, 0.0, CFG)
-    # An explicit truncation stands in for missing metadata.
-    cfg = QuadratureConfig(radial_upper=8.0)
-    got = weyl_integral(plain, 0.5, 0.0, cfg)
-    assert got == pytest.approx(1.0, rel=1e-6)
 
 
 def test_weyl_convergence_error_carries_estimate():

@@ -6,11 +6,13 @@ import pytest
 from fraclamb import (
     DomainError,
     Exponential,
+    FractionalOrder,
     NotPositiveDefiniteError,
     PosDefMatrix,
     ProblemSpec,
     QuadratureConfig,
     UnsupportedOrderError,
+    frac_derivative,
     linear_combination,
     materialize,
     solve_classic,
@@ -195,8 +197,9 @@ def test_even_direct_path_matches_fractional_path(family):
     for f in family:
         for n in (2, 4):
             direct = solve_ndim(f, n, tight)
-            frac = solve_ndim(f, n, tight, fractional_path=True)
-            assert rel_error(frac(xs), direct(xs), floor=1e-6) < 1e-7
+            order = FractionalOrder(nu=n // 2, k=n // 2 + 1, mu=1.0)
+            frac = math.pi ** (-n / 2.0) * frac_derivative(f, order, xs, tight)
+            assert rel_error(frac, direct(xs), floor=1e-6) < 1e-7
 
 
 def test_solver_linearity(family):
