@@ -16,6 +16,8 @@ from .config import QuadratureConfig
 from .errors import ConvergenceError
 
 NODES_PER_PANEL = 32
+# Cap on composite panels; doubling from one panel, so a power of two.
+MAX_PANELS = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,13 +40,13 @@ def integrate_batch(integrand, uppers: np.ndarray, cfg: QuadratureConfig) -> np.
     cfg.tol * (1 + |estimate|) elementwise.
 
     Raises:
-        ConvergenceError: if cfg.max_panels is reached first (the error
-            object carries the last estimate).
+        ConvergenceError: if MAX_PANELS is reached first (the error object
+            carries the last estimate).
     """
     uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
     previous = None
     panels = 1
-    while panels <= cfg.max_panels:
+    while panels <= MAX_PANELS:
         nodes, weights = _unit_rule(panels)
         s = uppers[:, None] * nodes[None, :]
         vals = integrand(s)
@@ -57,7 +59,7 @@ def integrate_batch(integrand, uppers: np.ndarray, cfg: QuadratureConfig) -> np.
         panels *= 2
     err = float(np.max(np.abs(estimate - previous))) if previous is not None else float("nan")
     raise ConvergenceError(
-        f"quadrature did not converge within {cfg.max_panels} panels "
+        f"quadrature did not converge within {MAX_PANELS} panels "
         f"(last error estimate {err:.3g})",
         estimate=estimate, error_estimate=err,
     )

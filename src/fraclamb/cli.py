@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .function_model import (
 from .lamb_solver import PosDefMatrix, ProblemSpec, solve_classic, solve_ndim, solve_power, solve_problem
 from .special_functions import beta, gamma, sphere_volume
 
-__all__ = ["main", "parse_function", "CliRequest"]
+__all__ = ["main", "parse_function"]
 
 _DEFAULT_THRESHOLD = 1e-5
 _MC_THRESHOLD_FLOOR = 1e-4
@@ -93,22 +92,6 @@ def parse_function(selector: str) -> SmoothFunction:
         raise SelectorError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class CliRequest:
-    """A validated invocation: command, problem, function, grid, output."""
-
-    command: str
-    spec: ProblemSpec | None
-    function: SmoothFunction | None
-    window: tuple[float, float] | None
-    count: int
-    probes: int
-    threshold: float | None
-    output_path: str | None
-    format: str
-    cfg: QuadratureConfig
-
-
 def _window_type(text: str) -> tuple[float, float]:
     try:
         left, _, right = text.partition(":")
@@ -117,8 +100,9 @@ def _window_type(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"window must be 'a:b' with numbers, got {text!r}"
         ) from None
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise argparse.ArgumentTypeError(f"window needs finite a < b, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise argparse.ArgumentTypeError(
+            f"window needs finite a < b with a finite width b - a, got {text!r}")
     return a, b
 
 
@@ -233,32 +217,6 @@ def _spec_from_args(args) -> ProblemSpec:
     return ProblemSpec(variant="quadform", A=_load_matrix(args.matrix))
 
 
-def _request_from_args(args) -> CliRequest:
-    cfg = QuadratureConfig(
-        tol=args.tol,
-        mc_samples=getattr(args, "mc_samples", DEFAULT_CONFIG.mc_samples),
-        mc_seed=_resolve_seed(args.seed),
-    )
-    if args.command == "selftest":
-        return CliRequest(command="selftest", spec=None, function=None, window=None,
-                          count=0, probes=0, threshold=None,
-                          output_path=args.output, format="text", cfg=cfg)
-    spec = _spec_from_args(args)
-    f = parse_function(args.function)
-    return CliRequest(
-        command=args.command,
-        spec=spec,
-        function=f,
-        window=args.window,
-        count=getattr(args, "count", 0),
-        probes=getattr(args, "probes", 0),
-        threshold=getattr(args, "threshold", None),
-        output_path=args.output,
-        format=args.format,
-    cfg=cfg,
-    )
-
-
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -274,30 +232,28 @@ def _grid_payload(grid: GridFunction, fmt: str) -> str:
     return grid.to_csv() if fmt == "csv" else grid.to_json() + "\n"
 
 
-def _cmd_solve(req: CliRequest) -> int:
-    if req.count < 2:
-        raise DomainError(f"count must be >= 2, got {req.count}")
-    u = solve_problem(req.spec, req.function, req.cfg)
-    grid = sample(u, req.window[0], req.window[1], req.count)
-    _emit(_grid_payload(grid, req.format), req.output_path)
+def _cmd_solve(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig) -> int:
+    # Checked before solve_problem, whose derivative-order check would
+    # otherwise report first.
+    if args.count < 2:
+        raise DomainError(f"count must be >= 2, got {args.count}")
+    u = solve_problem(spec, f, cfg)
+    grid = sample(u, args.window[0], args.window[1], args.count)
+    _emit(_grid_payload(grid, args.format), args.output)
     return 0
 
 
-def _cmd_forward(req: CliRequest) -> int:
-    if req.count < 2:
-        raise DomainError(f"count must be >= 2, got {req.count}")
-    a, b = req.window
-    step = (b - a) / (req.count - 1)
-    nodes = a + np.arange(req.count) * step
-    values = [forward(req.spec, req.function, float(x), req.cfg)[0] for x in nodes]
-    grid = GridFunction(x_start=a, x_step=step, values=np.array(values))
-    _emit(_grid_payload(grid, req.format), req.output_path)
+def _cmd_forward(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig) -> int:
+    image = materialize(np.vectorize(lambda x: forward(spec, f, x, cfg)[0], otypes=[float]),
+                        label=f"forward[{spec.variant}]({f.label})")
+    grid = sample(image, args.window[0], args.window[1], args.count)
+    _emit(_grid_payload(grid, args.format), args.output)
     return 0
 
 
-def _cmd_verify(req: CliRequest) -> int:
-    report = verify(req.spec, req.function, req.window, req.probes, req.cfg)
-    threshold = req.threshold
+def _cmd_verify(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig) -> int:
+    report = verify(spec, f, args.window, args.probes, cfg)
+    threshold = args.threshold
     if threshold is None:
         if report.std_errors is not None:
             f_scale = max(abs(fx) for _, fx, _, _ in report.rows)
@@ -306,8 +262,8 @@ def _cmd_verify(req: CliRequest) -> int:
                             4.0 * max(se / f_scale for se in report.std_errors))
         else:
             threshold = _DEFAULT_THRESHOLD
-    payload = report.to_csv() if req.format == "csv" else report.to_json() + "\n"
-    _emit(payload, req.output_path)
+    payload = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
+    _emit(payload, args.output)
     # NaN compares false, so a non-finite residual or standard error fails.
     passed = report.max_rel_residual < threshold and all(
         math.isfinite(se) for se in report.std_errors or ())
@@ -462,11 +418,11 @@ def _selftest_checks(cfg: QuadratureConfig):
     yield "grid_serialization_round_trip", same, 1e-300
 
 
-def _cmd_selftest(req: CliRequest) -> int:
+def _cmd_selftest(cfg: QuadratureConfig, output: str | None) -> int:
     lines = []
     failures = 0
     total = 0
-    for name, observed, limit in _selftest_checks(req.cfg):
+    for name, observed, limit in _selftest_checks(cfg):
         total += 1
         ok = observed < limit
         if not ok:
@@ -475,8 +431,8 @@ def _cmd_selftest(req: CliRequest) -> int:
             f"{'PASS' if ok else 'FAIL'} {name} observed={observed:.17g} limit={limit:.17g}"
         )
     lines.append(f"selftest: {total - failures}/{total} passed "
-                 f"(seed={req.cfg.mc_seed} mc_samples={req.cfg.mc_samples})")
-    _emit("\n".join(lines) + "\n", req.output_path)
+                 f"(seed={cfg.mc_seed} mc_samples={cfg.mc_samples})")
+    _emit("\n".join(lines) + "\n", output)
     return 0 if failures == 0 else 1
 
 
@@ -485,14 +441,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_merge_dash_values(argv))
     try:
-        req = _request_from_args(args)
-        if req.command == "solve":
-            return _cmd_solve(req)
-        if req.command == "forward":
-            return _cmd_forward(req)
-        if req.command == "verify":
-            return _cmd_verify(req)
-        return _cmd_selftest(req)
+        cfg = QuadratureConfig(tol=args.tol, mc_samples=args.mc_samples,
+                               mc_seed=_resolve_seed(args.seed))
+        if args.command == "selftest":
+            return _cmd_selftest(cfg, args.output)
+        command = {"solve": _cmd_solve, "forward": _cmd_forward, "verify": _cmd_verify}
+        return command[args.command](args, _spec_from_args(args), parse_function(args.function), cfg)
     except (SelectorError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,28 +21,25 @@ class QuadratureConfig:
 
     Attributes:
         tol: target absolute error, scaled as tol * (1 + |result|); finite.
-        max_panels: cap on composite Gauss-Legendre panels (power of two).
         mc_samples: Monte Carlo sample count.
         mc_seed: 64-bit seed for the counter-based generator; estimates are
             bit-identical across runs for a fixed seed.
 
     Improper integrals are always truncated from the integrand's decay
-    metadata, at relative tail mass function_model.CUTOFF_EPSILON.
+    metadata, at relative tail mass function_model.CUTOFF_EPSILON, and
+    panel doubling stops at _quad.MAX_PANELS panels.
 
     Raises:
         DomainError: a field is out of range.
     """
 
     tol: float = 1e-9
-    max_panels: int = 4096
     mc_samples: int = 1_000_000
     mc_seed: int = 0xC0FFEE
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_panels < 1 or self.max_panels & (self.max_panels - 1):
-            raise DomainError(f"max_panels must be a power of two, got {self.max_panels}")
         if self.mc_samples < 1000:
             raise DomainError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if not 0 <= int(self.mc_seed) < 2 ** 64:

@@ -189,19 +189,21 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite number is written as null."""
+        num = lambda v: v if math.isfinite(v) else None
         obj = {
-            "window": [self.window[0], self.window[1]],
+            "window": [num(self.window[0]), num(self.window[1])],
             "probe_count": self.probe_count,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
+            "max_abs_residual": num(self.max_abs_residual),
+            "max_rel_residual": num(self.max_rel_residual),
             "rows": [
-                {"x": x, "f": fx, "forward": fwd, "residual": res}
+                {"x": num(x), "f": num(fx), "forward": num(fwd), "residual": num(res)}
                 for x, fx, fwd, res in self.rows
             ],
         }
         if self.std_errors is not None:
-            obj["std_errors"] = list(self.std_errors)
-        return json.dumps(obj)
+            obj["std_errors"] = [num(se) for se in self.std_errors]
+        return json.dumps(obj, allow_nan=False)
 
 
 def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
@@ -214,8 +216,9 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
     makes both maxima NaN.
     """
     a, b = float(window[0]), float(window[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"window must be finite with a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise DomainError(f"window must be finite with a < b and a finite width b - a, "
+                          f"got [{a}, {b}]")
     probes = int(probes)
     if probes < 3:
         raise DomainError(f"need at least 3 probes, got {probes}")

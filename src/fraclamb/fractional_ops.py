@@ -15,8 +15,9 @@ Singularity removal: substituting xi = x - t^2 gives
 
 a smooth integrand for mu = 1/2 (the weight is constant). For other orders
 a further power substitution t = s^q is chosen so the weight becomes a plain
-monomial whenever 2 mu q is an integer (which covers every order the solvers
-produce), keeping the integrand analytic and the panels spectral.
+monomial whenever 2 mu q is an integer for some q <= 16, keeping the
+integrand analytic and the panels spectral; other orders take q = 1/(2 mu),
+whose weight is constant.
 """
 
 from __future__ import annotations
@@ -89,18 +90,15 @@ def _flatten_exponent(mu: float) -> tuple[float, float]:
     """Pick the substitution t = s^q and return (q, weight exponent).
 
     The weight after substitution is s^(2 mu q - 1) up to the factor q. An
-    integer q making 2 mu q an integer yields an analytic integrand; when no
-    small q works, fall back to q = 1 for mu >= 1/2 (bounded weight) or
-    q = 1/(2 mu) for mu < 1/2 (constant weight).
+    integer q <= 16 making 2 mu q an integer yields an analytic integrand;
+    otherwise q = 1/(2 mu) makes the weight constant. Against scipy's QAWS
+    rule its worst error was lower than that of q = 1 with weight s^(2 mu - 1).
     """
     for q in range(1, _MAX_FLATTEN_Q + 1):
         d = 2.0 * mu * q
         if abs(d - round(d)) <= 1e-9 and round(d) >= 1:
             return float(q), float(round(d) - 1)
-    if mu >= 0.5:
-        return 1.0, 2.0 * mu - 1.0
-    q = 1.0 / (2.0 * mu)
-    return q, 0.0
+    return 1.0 / (2.0 * mu), 0.0
 
 
 def _weyl_batch(g: SmoothFunction, mu: float, xs,
@@ -144,7 +142,7 @@ def weyl_integral(g: SmoothFunction, mu: float, x,
             materialize(decay_like=...) or CallableFunction(tail_bound=...).
         FracLambError: g is not finite on the points (its scale sets the
             truncation point).
-        ConvergenceError: panel doubling hit cfg.max_panels.
+        ConvergenceError: panel doubling hit _quad.MAX_PANELS.
     """
     result = _weyl_batch(g, mu, x, cfg)
     if np.ndim(x) == 0:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NoDecayError, UnsupportedOrderError
+from .errors import DomainError, FracLambError, NoDecayError, UnsupportedOrderError
 
 __all__ = [
+    "BUILTIN_ORDER",
     "CUTOFF_EPSILON",
     "SmoothFunction",
     "CallableFunction",
@@ -45,6 +46,10 @@ NUMERIC_ORDER_SLACK = 4
 
 # Relative tail mass at which integrals with lower limit -inf are truncated.
 CUTOFF_EPSILON = 1e-12
+
+# Analytic derivative order of the built-in family: symmetric_ndim needs
+# f^(n/2) for even n, f^((n+1)/2) for odd n, so it reaches n <= 16 or 15.
+BUILTIN_ORDER = 8
 
 
 def _restore_shape(x, result):
@@ -177,11 +182,10 @@ def _finite(name: str, value, positive: bool = False) -> float:
 class Exponential(SmoothFunction):
     """x -> exp(lam * x), lam > 0. Eigenfunction of every operator here."""
 
-    kind = "exp"
+    derivative_order = BUILTIN_ORDER
 
-    def __init__(self, lam: float = 1.0, derivative_order: int = 8):
+    def __init__(self, lam: float = 1.0):
         self.lam = _finite("lambda", lam, positive=True)
-        self.derivative_order = int(derivative_order)
         self.label = f"exp(lambda={self.lam:g})"
 
     def evaluate(self, x):
@@ -228,12 +232,11 @@ class GaussTail(SmoothFunction):
     are computed: sigmoid derivatives are polynomials in sigmoid itself.
     """
 
-    kind = "gauss_tail"
+    derivative_order = BUILTIN_ORDER
 
-    def __init__(self, lam: float = 1.0, c: float = 0.0, derivative_order: int = 8):
+    def __init__(self, lam: float = 1.0, c: float = 0.0):
         self.lam = _finite("lambda", lam, positive=True)
         self.c = _finite("c", c)
-        self.derivative_order = int(derivative_order)
         self.label = f"gauss_tail(lambda={self.lam:g}, c={self.c:g})"
 
     def evaluate(self, x):
@@ -264,27 +267,18 @@ class GaussTail(SmoothFunction):
 
 @functools.lru_cache(maxsize=None)
 def _hermite_coeffs(k: int) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k, ascending coefficients."""
-    if k == 0:
-        return np.array([1.0])
-    if k == 1:
-        return np.array([0.0, 1.0])
-    prev2, prev1 = _hermite_coeffs(k - 2), _hermite_coeffs(k - 1)
-    t_prev1 = np.polynomial.polynomial.polymul(np.array([0.0, 1.0]), prev1)
-    out = t_prev1.copy()
-    out[: len(prev2)] -= (k - 1) * prev2
-    return out
+    """Probabilists' Hermite polynomial He_k, ascending power-series coefficients."""
+    return np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])
 
 
 class ShiftedGaussian(SmoothFunction):
     """x -> exp(-(x - c)^2 / (2 sigma^2)); derivatives via Hermite polynomials."""
 
-    kind = "shifted_gaussian"
+    derivative_order = BUILTIN_ORDER
 
-    def __init__(self, sigma: float = 1.0, c: float = 0.0, derivative_order: int = 8):
+    def __init__(self, sigma: float = 1.0, c: float = 0.0):
         self.sigma = _finite("sigma", sigma, positive=True)
         self.c = _finite("c", c)
-        self.derivative_order = int(derivative_order)
         self.label = f"shifted_gaussian(sigma={self.sigma:g}, c={self.c:g})"
 
     def evaluate(self, x):
@@ -408,12 +402,8 @@ def _default_step(k: int) -> float:
 def _central_difference(f: SmoothFunction, k: int, x: np.ndarray, h: float) -> np.ndarray:
     # k-th order central stencil with nodes x + (k/2 - j) h, j = 0..k.
     acc = np.zeros(np.shape(x), dtype=float)
-    sign = 1.0
-    binom = 1.0
     for j in range(k + 1):
-        acc += sign * binom * f.evaluate(x + (k / 2.0 - j) * h)
-        binom = binom * (k - j) / (j + 1)
-        sign = -sign
+        acc += (-1.0) ** j * math.comb(k, j) * f.evaluate(x + (k / 2.0 - j) * h)
     return acc / h ** k
 
 
@@ -569,13 +559,22 @@ class GridFunction:
 
 
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
-    """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included)."""
+    """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
+
+    Raises:
+        DomainError: a >= b, the width b - a overflows, or count < 2.
+        FracLambError: a sampled value is not finite.
+    """
     a, b = float(a), float(b)
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not (a < b and math.isfinite(b - a)):
+        raise DomainError(f"need a < b with a finite width b - a, got [{a}, {b}]")
     count = int(count)
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     step = (b - a) / (count - 1)
     nodes = a + np.arange(count) * step
-    return GridFunction(x_start=a, x_step=step, values=np.asarray(f(nodes), dtype=float))
+    values = np.asarray(f(nodes), dtype=float)
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise FracLambError(f"{f.label}: non-finite value {values[i]} at x = {nodes[i]:.17g}")
+    return GridFunction(x_start=a, x_step=step, values=values)

@@ -35,7 +35,7 @@ import numpy as np
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, NotPositiveDefiniteError
 from .fractional_ops import derivative_view, _weyl_batch
-from .function_model import CallableFunction, SmoothFunction
+from .function_model import CallableFunction, SmoothFunction, materialize
 from .special_functions import gamma
 
 __all__ = [
@@ -231,13 +231,9 @@ def solve_quadform(f: SmoothFunction, A: PosDefMatrix,
         A = PosDefMatrix(A)
     base = solve_ndim(f, A.n, cfg)
     scale = math.sqrt(A.det)
-    return CallableFunction(
-        lambda xs: scale * base.evaluate(xs),
-        derivative_order=0,
-        tail_bound=(lambda L: scale * base.tail_bound(L)) if base.has_decay else None,
-        value_tail_bound=(lambda L: scale * base.value_tail_bound(L)) if base.has_decay else None,
-        label=f"u_quadform[det={A.det:g}]({f.label})",
-    )
+    return materialize(lambda xs: scale * base.evaluate(xs),
+                       decay_like=base if base.has_decay else None, decay_scale=scale,
+                       label=f"u_quadform[det={A.det:g}]({f.label})")
 
 
 def solve_problem(spec: ProblemSpec, f: SmoothFunction,

@@ -5,7 +5,6 @@ seed.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -35,7 +34,7 @@ from fraclamb import (
     verify,
     weyl_integral,
 )
-from conftest import rel_error
+from conftest import rel_error, subprocess_env
 
 CFG = QuadratureConfig()
 
@@ -222,12 +221,10 @@ def test_criterion_7_fractional_operator_laws():
 
 def test_criterion_8_selftest_determinism():
     t0 = time.time()
-    env = dict(os.environ)
-    env.pop("FRACLAMB_SEED", None)
     runs = [
         subprocess.run(
             [sys.executable, "-m", "fraclamb.cli", "selftest"],
-            capture_output=True, env=env,
+            capture_output=True, env=subprocess_env(),
         )
         for _ in range(2)
     ]

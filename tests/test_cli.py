@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -22,17 +21,13 @@ from fraclamb import (
 )
 from fraclamb import cli, forward_verifier
 from fraclamb.cli import main, parse_function
-from conftest import nan_left_of_minus_three
+from conftest import nan_left_of_minus_three, subprocess_env
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("FRACLAMB_SEED", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "fraclamb.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=subprocess_env(env_extra),
     )
 
 
@@ -283,3 +278,27 @@ def test_non_finite_integrand_scale_exits_three(command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error:")
     assert "shifted_gaussian(sigma=1e-200" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("variant", [["power", "-m", "1"], ["symmetric_ndim", "-n", "2"]],
+                         ids=["power_m1", "ndim_n2"])
+def test_non_finite_grid_value_exits_three(variant, capsys):
+    # u = c f^(k) is inf at x = 712, although f itself is finite there.
+    assert main(["solve", "--variant", *variant, "--function", "exp",
+                 "--window", "700:712", "--count", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error:")
+    assert "exp(lambda=1)" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "forward", "verify"])
+def test_overflowing_window_width_exits_two(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--variant", "symmetric_ndim", "-n", "2", "--function", "exp",
+              "--window", "-1e308:1e308"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "window" in captured.err

@@ -1,11 +1,12 @@
 """Smoke test: every demo script runs to completion against the package."""
 
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -13,9 +14,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                            text=True, env=env, cwd=ROOT, timeout=120)
+                            text=True, env=subprocess_env(), cwd=ROOT, timeout=120)
     assert result.returncode == 0, result.stderr

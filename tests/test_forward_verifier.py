@@ -25,6 +25,7 @@ from fraclamb import (
     verify,
     zero_function,
 )
+from fraclamb import _quad
 from fraclamb.special_functions import gamma
 from conftest import nan_left_of_minus_three
 
@@ -35,15 +36,13 @@ SQRT_PI = math.sqrt(math.pi)
 class TestQuadratureConfig:
     def test_defaults(self):
         assert CFG.tol == 1e-9
-        assert CFG.max_panels == 4096
+        assert _quad.MAX_PANELS == 4096
         assert CFG.mc_samples == 1_000_000
         assert CFG.mc_seed == 0xC0FFEE
 
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_panels=100)  # not a power of two
         with pytest.raises(DomainError):
             QuadratureConfig(mc_samples=10)
 
@@ -151,9 +150,10 @@ def test_radial_vs_cartesian_bridge():
 
 def test_round_trip_deterministic_variants_full_family(family):
     # classic and every power exponent, across the whole built-in family;
-    # the n-dim sweep lives in the acceptance suite.
+    # the n-dim sweep lives in the acceptance suite. m = 17 (mu = 16/17)
+    # takes the fallback substitution of the Weyl integral.
     specs = [ProblemSpec(variant="classic")] + [
-        ProblemSpec(variant="power", m=m) for m in (1, 2, 3, 4)
+        ProblemSpec(variant="power", m=m) for m in (1, 2, 3, 4, 17)
     ]
     for spec in specs:
         for f in family:
@@ -220,6 +220,8 @@ def test_verify_validation():
         verify(ProblemSpec(variant="classic"), f, (1.0, -1.0), 5, CFG)
     with pytest.raises(DomainError):
         verify(ProblemSpec(variant="classic"), f, (-1.0, 1.0), 2, CFG)
+    with pytest.raises(DomainError, match="width"):  # b - a overflows
+        verify(ProblemSpec(variant="classic"), f, (-1e308, 1e308), 5, CFG)
 
 
 def test_report_serialization_formats():
@@ -238,13 +240,20 @@ def test_report_serialization_formats():
 
 
 def test_verify_reports_nan_residuals():
-    # The report must say NaN instead of reading 0.
+    # The report must say NaN instead of reading 0, and its JSON stay strict.
     f = nan_left_of_minus_three()
     spec = ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0, 1.0], [1.0, 2.0]]))
     report = verify(spec, f, (-1.0, 1.0), 3, QuadratureConfig(mc_samples=1000))
     assert all(math.isnan(fwd) for _, _, fwd, _ in report.rows)
     assert math.isnan(report.max_abs_residual)
     assert math.isnan(report.max_rel_residual)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(report.to_json(), parse_constant=reject)
+    assert obj["max_rel_residual"] is None
+    assert all(row["forward"] is None and row["f"] is not None for row in obj["rows"])
 
 
 def test_decay_span_rejects_non_finite_scale():

@@ -15,6 +15,7 @@ from fraclamb import (
     materialize,
     weyl_integral,
 )
+from fraclamb import _quad
 from fraclamb.special_functions import gamma
 from conftest import rel_error
 
@@ -66,7 +67,10 @@ def test_weyl_eigenvalues_of_exponential():
     )
 
 
-@pytest.mark.parametrize("mu", [0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 0.9])
+# 1/pi, 2^(-1/2) and 16/17 leave every 2 mu q with q <= 16 non-integer, so
+# they take the fallback substitution t = s^(1/(2 mu)).
+@pytest.mark.parametrize("mu", [0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 0.9,
+                                1.0 / np.pi, 2.0 ** -0.5, 16.0 / 17.0])
 def test_weyl_against_defining_integral(mu):
     g = GaussTail(1.0, 0.0)
     for x in (-0.5, 0.5):
@@ -95,10 +99,10 @@ def test_weyl_requires_decay_or_cutoff():
         weyl_integral(plain, 0.5, 0.0, CFG)
 
 
-def test_weyl_convergence_error_carries_estimate():
-    cfg = QuadratureConfig(max_panels=1)
+def test_weyl_convergence_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(_quad, "MAX_PANELS", 1)
     with pytest.raises(ConvergenceError) as info:
-        weyl_integral(Exponential(1.0), 0.5, 0.0, cfg)
+        weyl_integral(Exponential(1.0), 0.5, 0.0, CFG)
     assert info.value.estimate is not None
 
 

@@ -7,6 +7,7 @@ import pytest
 from fraclamb import (
     DomainError,
     Exponential,
+    FracLambError,
     GaussTail,
     GridFunction,
     NoDecayError,
@@ -167,12 +168,18 @@ def test_sample_round_trip_is_bitwise(family):
         assert np.array_equal(grid.values, again)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_sample_validation():
     f = Exponential(1.0)
     with pytest.raises(DomainError):
         sample(f, 1.0, 1.0, 5)
     with pytest.raises(DomainError):
         sample(f, 0.0, 1.0, 1)
+    with pytest.raises(DomainError, match="width"):  # b - a overflows
+        sample(f, -1e308, 1e308, 3)
+    with pytest.raises(FracLambError, match="exp") as info:  # e^712 overflows
+        sample(f, 700.0, 712.0, 3)
+    assert not isinstance(info.value, DomainError)
 
 
 def test_grid_function_node_relation_is_exact():

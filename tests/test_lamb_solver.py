@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraclamb import (
+    CallableFunction,
     DomainError,
     Exponential,
     FractionalOrder,
@@ -221,8 +222,10 @@ def test_insufficient_derivatives_raise():
     bare = materialize(lambda x: np.exp(x), derivative_order=0)
     with pytest.raises(UnsupportedOrderError):
         solve_classic(bare, CFG)
+    order_two = CallableFunction(np.exp, derivative=lambda k, x: np.exp(x), derivative_order=2,
+                                 tail_bound=Exponential(1.0).tail_bound)
     with pytest.raises(UnsupportedOrderError):
-        solve_ndim(Exponential(1.0, derivative_order=2), 6, CFG)
+        solve_ndim(order_two, 6, CFG)
 
 
 def test_solutions_do_not_expose_derivatives():
