@@ -26,7 +26,7 @@ from .forward_verifier import (
     forward_radial,
     verify,
 )
-from .fractional_ops import FractionalOrder, frac_derivative, weyl_integral
+from .fractional_ops import frac_derivative, split_order, weyl_integral
 from .function_model import (
     CallableFunction,
     Exponential,
@@ -50,7 +50,7 @@ from .lamb_solver import (
     solve_problem,
     solve_quadform,
 )
-from .special_functions import SphereVolume, beta, gamma, sphere_volume
+from .special_functions import beta, gamma, sphere_volume
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,7 @@ __all__ = [
     "linear_combination",
     "materialize",
     "zero_function",
-    "FractionalOrder",
+    "split_order",
     "weyl_integral",
     "frac_derivative",
     "PosDefMatrix",
@@ -94,7 +94,6 @@ __all__ = [
     "forward_quadform_mc",
     "forward",
     "verify",
-    "SphereVolume",
     "gamma",
     "beta",
     "sphere_volume",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,13 +32,14 @@ from .forward_verifier import (
     forward_montecarlo,
     verify,
 )
-from .fractional_ops import FractionalOrder, frac_derivative, weyl_integral
+from .fractional_ops import derivative_view, frac_derivative, weyl_integral
 from .function_model import (
     Exponential,
     GaussTail,
     GridFunction,
     ShiftedGaussian,
     SmoothFunction,
+    check_window,
     materialize,
     sample,
 )
@@ -100,10 +100,10 @@ def _window_type(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"window must be 'a:b' with numbers, got {text!r}"
         ) from None
-    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
-        raise argparse.ArgumentTypeError(
-            f"window needs finite a < b with a finite width b - a, got {text!r}")
-    return a, b
+    try:
+        return check_window(a, b)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _VALUE_FLAGS = {
@@ -173,10 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(raw: str | None) -> int:
     if raw is None:
-        env = os.environ.get("FRACLAMB_SEED")
-        if env is None:
-            return DEFAULT_CONFIG.mc_seed
-        raw = env
+        return DEFAULT_CONFIG.mc_seed
     try:
         return int(raw, 0)
     except ValueError:
@@ -252,8 +249,10 @@ def _cmd_forward(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConf
 
 
 def _cmd_verify(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig) -> int:
-    report = verify(spec, f, args.window, args.probes, cfg)
     threshold = args.threshold
+    if threshold is not None and not 0.0 < threshold < math.inf:
+        raise DomainError(f"threshold must be finite and > 0, got {threshold}")
+    report = verify(spec, f, args.window, args.probes, cfg)
     if threshold is None:
         if report.std_errors is not None:
             f_scale = max(abs(fx) for _, fx, _, _ in report.rows)
@@ -295,7 +294,7 @@ def _selftest_checks(cfg: QuadratureConfig):
     yield "beta_symmetry", sym, 1e-13
 
     sph = max(
-        abs(sphere_volume(n).value * 0.5 * gamma(n / 2.0) / math.pi ** (n / 2.0) - 1.0)
+        abs(sphere_volume(n) * 0.5 * gamma(n / 2.0) / math.pi ** (n / 2.0) - 1.0)
         for n in range(1, 13)
     )
     yield "sphere_volume_identity", sph, 1e-13
@@ -313,8 +312,8 @@ def _selftest_checks(cfg: QuadratureConfig):
     worst = 0.0
     g = Exponential(1.0)
     for nu in (1, 2, 3):
-        order = FractionalOrder(nu=float(nu), k=nu + 1, mu=1.0)
-        got = frac_derivative(g, order, xs, cfg)
+        # D^(-1) f^(nu+1), a non-canonical split of the integer order nu
+        got = weyl_integral(derivative_view(g, nu + 1), 1.0, xs, cfg)
         want = np.exp(xs)
         worst = max(worst, float(np.max(np.abs(got / want - 1.0))))
     yield "integer_order_consistency", worst, 1e-9
@@ -366,8 +365,9 @@ def _selftest_checks(cfg: QuadratureConfig):
     worst = 0.0
     for n in (2, 4):
         direct = solve_ndim(f, n, cfg)
-        order = FractionalOrder(nu=n // 2, k=n // 2 + 1, mu=1.0)
-        frac = math.pi ** (-n / 2.0) * frac_derivative(f, order, probe, cfg)
+        # D^(-1) f^(m+1) with m = n/2, against the direct pi^(-m) f^(m)
+        frac = math.pi ** (-n / 2.0) * weyl_integral(derivative_view(f, n // 2 + 1), 1.0,
+                                                     probe, cfg)
         worst = max(worst, float(np.max(np.abs(frac / direct(probe) - 1.0))))
     yield "even_direct_vs_fractional", worst, 1e-7
 
@@ -440,18 +440,24 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_merge_dash_values(argv))
+    # Non-finite values are caught and named where they arise, so numpy's
+    # own warnings would only repeat them on stderr.
     try:
-        cfg = QuadratureConfig(tol=args.tol, mc_samples=args.mc_samples,
-                               mc_seed=_resolve_seed(args.seed))
-        if args.command == "selftest":
-            return _cmd_selftest(cfg, args.output)
-        command = {"solve": _cmd_solve, "forward": _cmd_forward, "verify": _cmd_verify}
-        return command[args.command](args, _spec_from_args(args), parse_function(args.function), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = QuadratureConfig(tol=args.tol, mc_samples=args.mc_samples,
+                                   mc_seed=_resolve_seed(args.seed))
+            if args.command == "selftest":
+                return _cmd_selftest(cfg, args.output)
+            command = {"solve": _cmd_solve, "forward": _cmd_forward, "verify": _cmd_verify}
+            return command[args.command](args, _spec_from_args(args), parse_function(args.function), cfg)
     except (SelectorError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FracLambError, OverflowError) as exc:
+    except FracLambError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # math.exp in the function's own code
+        print(f"numerical error: {getattr(args, 'function', args.command)}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError, FracLambError
-from .function_model import CUTOFF_EPSILON, SmoothFunction, effective_lower_cutoff
+from .function_model import CUTOFF_EPSILON, SmoothFunction, check_window, effective_lower_cutoff
 from .lamb_solver import PosDefMatrix, ProblemSpec, solve_problem
 from .special_functions import sphere_volume
 
@@ -78,7 +78,7 @@ def forward_radial(u: SmoothFunction, n: int, x: float,
         raise DomainError(f"dimension must be >= 1, got {n}")
     x = float(x)
     R = math.sqrt(_decay_span(u, x, CUTOFF_EPSILON))
-    vol = sphere_volume(n).value
+    vol = sphere_volume(n)
 
     def integrand(r):
         return r ** (n - 1) * u.evaluate(x - r * r)
@@ -215,10 +215,7 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
     windows where f vanishes do not blow up the report. A NaN residual
     makes both maxima NaN.
     """
-    a, b = float(window[0]), float(window[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
-        raise DomainError(f"window must be finite with a < b and a finite width b - a, "
-                          f"got [{a}, {b}]")
+    a, b = check_window(*window)
     probes = int(probes)
     if probes < 3:
         raise DomainError(f"need at least 3 probes, got {probes}")

@@ -6,8 +6,9 @@ The fractional integral of order mu in (0, 1] is
 
 whose kernel is weakly singular at xi = x. A positive order nu is evaluated
 as the composition D^(-mu) applied to the plain k-th derivative, with
-nu = k - mu; both ingredients land on the decaying function class this
-package works with, where the two composition orders coincide.
+nu = k - mu from split_order (the solvers make the same split); both
+ingredients land on the decaying function class this package works with,
+where the two composition orders coincide.
 
 Singularity removal: substituting xi = x - t^2 gives
 
@@ -23,67 +24,37 @@ whose weight is constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, FracLambError, UnsupportedOrderError
-from .function_model import (CUTOFF_EPSILON, NUMERIC_ORDER_SLACK, CallableFunction,
-                             SmoothFunction, effective_lower_cutoff)
+from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction,
+                             _restore_shape, effective_lower_cutoff)
 from .special_functions import gamma
 
-__all__ = ["FractionalOrder", "weyl_integral", "frac_derivative"]
+__all__ = ["split_order", "weyl_integral", "frac_derivative"]
 
 _INTEGER_SNAP = 1e-12
-_MAX_ORDER = 5.0  # orders >= 5 are out of scope
 _MAX_FLATTEN_Q = 16
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """An order nu split as nu = k - mu with integer k >= 0 and mu in [0,1].
+def split_order(nu: float) -> tuple[int, float]:
+    """Split nu = k - mu with k = max(0, ceil(nu)) and mu in [0, 1]; an order
+    within 1e-12 of a non-negative integer snaps to it (mu = 0).
 
-    mu = 0 marks a pure integer derivative; otherwise the operator is the
-    k-th derivative followed by the Weyl integral of order mu.
+    Raises:
+        DomainError: nu is not finite or is below -1.
     """
-
-    nu: float
-    k: int
-    mu: float
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise DomainError(f"integer part must be >= 0, got {self.k}")
-        if not (0.0 <= self.mu <= 1.0):
-            raise DomainError(f"mu must lie in [0, 1], got {self.mu}")
-        if abs((self.k - self.mu) - self.nu) > 1e-12:
-            raise DomainError(
-                f"inconsistent split: k - mu = {self.k - self.mu} but nu = {self.nu}"
-            )
-
-    @classmethod
-    def from_order(cls, nu: float) -> "FractionalOrder":
-        """Canonical split: k = ceil(nu), mu = k - nu; integers get mu = 0."""
-        nu = float(nu)
-        if nu < -1.0 or nu >= _MAX_ORDER:
-            raise DomainError(f"order must lie in [-1, {_MAX_ORDER}), got {nu}")
-        nearest = round(nu)
-        if abs(nu - nearest) <= _INTEGER_SNAP and nearest >= 0:
-            return cls(nu=float(nearest), k=int(nearest), mu=0.0)
-        k = max(0, math.ceil(nu))
-        return cls(nu=nu, k=k, mu=k - nu)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.mu == 0.0
-
-
-def _coerce_order(order) -> FractionalOrder:
-    if isinstance(order, FractionalOrder):
-        return order
-    return FractionalOrder.from_order(order)
+    nu = float(nu)
+    if not (math.isfinite(nu) and nu >= -1.0):
+        raise DomainError(f"order must be finite and >= -1, got {nu}")
+    nearest = round(nu)
+    if abs(nu - nearest) <= _INTEGER_SNAP and nearest >= 0:
+        return int(nearest), 0.0
+    k = max(0, math.ceil(nu))
+    return k, k - nu
 
 
 def _flatten_exponent(mu: float) -> tuple[float, float]:
@@ -134,20 +105,18 @@ def weyl_integral(g: SmoothFunction, mu: float, x,
                   cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Fractional integral D^(-mu) g at x for mu in (0, 1].
 
-    x may be a scalar or an array; array inputs share one truncation point
-    and are integrated in a single vectorized pass.
+    x may be a scalar (a float is returned) or an array; array inputs share
+    one truncation point and are integrated in a single vectorized pass.
 
     Raises:
+        DomainError: mu is outside (0, 1].
         NoDecayError: g lacks decay metadata; declare a tail bound with
             materialize(decay_like=...) or CallableFunction(tail_bound=...).
         FracLambError: g is not finite on the points (its scale sets the
             truncation point).
         ConvergenceError: panel doubling hit _quad.MAX_PANELS.
     """
-    result = _weyl_batch(g, mu, x, cfg)
-    if np.ndim(x) == 0:
-        return float(result)
-    return result
+    return _restore_shape(x, _weyl_batch(g, mu, x, cfg))
 
 
 def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
@@ -155,12 +124,13 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
 
     The bound on max_{j <= K+1} |f^(j)| left of L covers the derivatives of
     f^(k) up to order K - k + 1, which is all the view exposes.
+
+    Raises:
+        UnsupportedOrderError: k exceeds f.max_order.
     """
     if k == 0:
         return f
-    if k > f.derivative_order and not (
-        f.numeric_fallback and k <= f.derivative_order + NUMERIC_ORDER_SLACK
-    ):
+    if k > f.max_order:
         raise UnsupportedOrderError(
             f"{f.label}: needs derivative order {k}, has {f.derivative_order}"
         )
@@ -173,15 +143,20 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
     )
 
 
-def frac_derivative(f: SmoothFunction, order, x,
+def frac_derivative(f: SmoothFunction, nu: float, x,
                     cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Fractional derivative D^nu f at x.
+    """Fractional derivative D^nu f at x, for any nu >= -1 that f's
+    derivatives allow.
 
-    ``order`` is a FractionalOrder or a plain float; the split nu = k - mu
-    turns the operator into the Weyl integral of f^(k). Integer orders
-    short-circuit to the analytic derivative.
+    split_order(nu) = (k, mu) turns the operator into the Weyl integral of
+    order mu of f^(k); integer orders (mu = 0) are the plain derivative.
+    Negative orders are fractional integrals.
+
+    Raises:
+        DomainError: nu is not finite or is below -1.
+        UnsupportedOrderError: f cannot supply the k-th derivative.
     """
-    order = _coerce_order(order)
-    if order.is_integer:
-        return f.derivative(order.k, x)
-    return weyl_integral(derivative_view(f, order.k), order.mu, x, cfg)
+    k, mu = split_order(nu)
+    if mu == 0.0:
+        return f.derivative(k, x)
+    return weyl_integral(derivative_view(f, k), mu, x, cfg)

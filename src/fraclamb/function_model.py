@@ -34,6 +34,7 @@ __all__ = [
     "GridFunction",
     "numeric_derivative",
     "effective_lower_cutoff",
+    "check_window",
     "sample",
     "linear_combination",
     "materialize",
@@ -87,9 +88,8 @@ class SmoothFunction:
     def derivative(self, k: int, x):
         """k-th derivative at x (scalar or array).
 
-        Orders up to ``derivative_order`` are analytic. Beyond that, and only
-        if ``numeric_fallback`` is set, a central-difference estimate is used
-        up to ``derivative_order + 4``.
+        Orders up to ``derivative_order`` are analytic; the rest, up to
+        ``max_order``, are central-difference estimates.
         """
         k = int(k)
         if k < 0:
@@ -99,17 +99,20 @@ class SmoothFunction:
         if k <= self.derivative_order:
             xs = np.asarray(x, dtype=float)
             return _restore_shape(x, self._analytic_derivative(k, xs))
-        if self.numeric_fallback and k <= self.derivative_order + NUMERIC_ORDER_SLACK:
+        if k <= self.max_order:
             value, _ = numeric_derivative(self, k, x)
             return value
         raise UnsupportedOrderError(
-            f"{self.label}: derivative order {k} exceeds analytic order "
-            f"{self.derivative_order} (numeric fallback "
-            f"{'off' if not self.numeric_fallback else 'capped'})"
-        )
+            f"{self.label}: derivative order {k} exceeds max_order {self.max_order}")
 
     def _analytic_derivative(self, k: int, x: np.ndarray) -> np.ndarray:
         raise UnsupportedOrderError(f"{self.label}: no analytic derivatives")
+
+    @property
+    def max_order(self) -> int:
+        """derivative_order, plus NUMERIC_ORDER_SLACK numeric orders if
+        numeric_fallback is set: the highest order ``derivative`` serves."""
+        return self.derivative_order + (NUMERIC_ORDER_SLACK if self.numeric_fallback else 0)
 
     @property
     def has_decay(self) -> bool:
@@ -351,8 +354,8 @@ def linear_combination(coeffs, functions, label=None) -> CallableFunction:
     )
 
 
-def materialize(func, decay_like=None, decay_scale=1.0, derivative_order=0,
-                numeric_fallback=False, label="materialized") -> CallableFunction:
+def materialize(func, decay_like=None, decay_scale=1.0, numeric_fallback=False,
+                label="materialized") -> CallableFunction:
     """Wrap a vectorized callable as a SmoothFunction.
 
     ``decay_like`` transfers another function's tail bound (scaled by
@@ -366,17 +369,16 @@ def materialize(func, decay_like=None, decay_scale=1.0, derivative_order=0,
         vtail = lambda L: decay_scale * decay_like.value_tail_bound(L)
     return CallableFunction(
         lambda x: np.asarray(func(x), dtype=float),
-        derivative_order=derivative_order,
         tail_bound=tail, value_tail_bound=vtail,
         numeric_fallback=numeric_fallback, label=label,
     )
 
 
-def zero_function(derivative_order: int = 8) -> CallableFunction:
+def zero_function() -> CallableFunction:
     return CallableFunction(
         lambda x: np.zeros(np.shape(x), dtype=float),
         derivative=lambda k, x: np.zeros(np.shape(x), dtype=float),
-        derivative_order=derivative_order,
+        derivative_order=BUILTIN_ORDER,
         tail_bound=lambda L: 0.0,
         label="zero",
     )
@@ -448,7 +450,8 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
     """Smallest-effort L with tail_bound(L) <= epsilon.
 
     ``value_only`` uses the bound on |f| alone (enough for integrals of f
-    itself, giving tighter boxes than the all-derivatives bound).
+    itself, giving tighter boxes than the all-derivatives bound). A bound
+    that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
 
     Raises:
         NoDecayError: if f has no decay metadata.
@@ -458,7 +461,13 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
     if not f.has_decay:
         raise NoDecayError(f"{f.label}: no decay metadata; declare a tail bound")
-    bound = f.value_tail_bound if value_only else f.tail_bound
+    raw_bound = f.value_tail_bound if value_only else f.tail_bound
+
+    def bound(L):
+        try:
+            return raw_bound(L)
+        except OverflowError:
+            return math.inf
 
     # Bracket [lo, hi] with bound(lo) <= epsilon < bound(hi); the bound is
     # monotone non-decreasing in L.
@@ -558,6 +567,14 @@ class GridFunction:
                    values=np.array(obj["values"], dtype=float))
 
 
+def check_window(a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats; DomainError unless a < b with a finite width b - a."""
+    a, b = float(a), float(b)
+    if not (a < b and math.isfinite(b - a)):
+        raise DomainError(f"window needs finite a < b with a finite width b - a, got [{a}, {b}]")
+    return a, b
+
+
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
 
@@ -565,9 +582,7 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
         DomainError: a >= b, the width b - a overflows, or count < 2.
         FracLambError: a sampled value is not finite.
     """
-    a, b = float(a), float(b)
-    if not (a < b and math.isfinite(b - a)):
-        raise DomainError(f"need a < b with a finite width b - a, got [{a}, {b}]")
+    a, b = check_window(a, b)
     count = int(count)
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")

@@ -26,7 +26,6 @@ adaptively.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, NotPositiveDefiniteError
-from .fractional_ops import derivative_view, _weyl_batch
+from .fractional_ops import derivative_view, split_order, _weyl_batch
 from .function_model import CallableFunction, SmoothFunction, materialize
 from .special_functions import gamma
 
@@ -99,9 +98,6 @@ class PosDefMatrix:
     def min_pivot(self) -> float:
         return float(np.min(np.diag(self.factor) ** 2))
 
-    def to_list(self):
-        return [[float(v) for v in row] for row in self.entries]
-
     def __repr__(self):
         return f"PosDefMatrix(n={self.n}, det={self.det:g})"
 
@@ -139,25 +135,6 @@ class ProblemSpec:
             raise DomainError(f"dimension must be >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
-    def to_json(self) -> str:
-        obj = {"variant": self.variant, "n": self.n}
-        if self.m is not None:
-            obj["m"] = self.m
-        if self.A is not None:
-            obj["A"] = self.A.to_list()
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemSpec":
-        obj = json.loads(text)
-        A = PosDefMatrix(obj["A"]) if "A" in obj and obj["A"] is not None else None
-        return cls(
-            variant=obj["variant"],
-            n=int(obj.get("n", A.n if A is not None else 1)),
-            m=obj.get("m"),
-            A=A,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Solvers
@@ -167,12 +144,11 @@ def _solution(f: SmoothFunction, nu: float, const: float, label: str,
               cfg: QuadratureConfig) -> SmoothFunction:
     """u = const * D^nu f, the shape of every solution here.
 
-    With k = ceil(nu) and mu = k - nu, an integer order (mu = 0) is the
-    scaled derivative const * f^(k); otherwise u is const times the Weyl
-    integral of order mu of f^(k).
+    With (k, mu) = split_order(nu), the split frac_derivative makes too, an
+    integer order (mu = 0) is the scaled derivative const * f^(k); otherwise
+    u is const times the Weyl integral of order mu of f^(k).
     """
-    k = math.ceil(nu)
-    mu = k - nu
+    k, mu = split_order(nu)
     fk = derivative_view(f, k)
     if mu == 0.0:
         evaluate = lambda xs: const * fk.evaluate(xs)

@@ -1,4 +1,4 @@
-"""Gamma, Beta, and unit-sphere surface volumes.
+"""Gamma, Beta, and unit-sphere surface volumes, each a plain float.
 
 These constants sit under every solution formula in the package: the
 solution of the n-dimensional equation carries pi^(-n/2), which is exactly
@@ -14,11 +14,10 @@ approximation error beyond rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["gamma", "beta", "sphere_volume", "SphereVolume"]
+__all__ = ["gamma", "beta", "sphere_volume"]
 
 
 def gamma(p: float) -> float:
@@ -42,20 +41,10 @@ def beta(p: float, q: float) -> float:
     return gamma(p) * gamma(q) / gamma(p + q)
 
 
-@dataclass(frozen=True)
-class SphereVolume:
-    """Surface volume of the unit sphere S^(n-1) in ambient dimension n.
-
-    value = 2 pi^(n/2) / Gamma(n/2). For n = 1 this is 2, the counting
-    measure of the two-point sphere S^0.
-    """
-
-    n: int
-    value: float
-
-
-def sphere_volume(n: int) -> SphereVolume:
+def sphere_volume(n: int) -> float:
     """Vol(S^(n-1)) = 2 pi^(n/2) / Gamma(n/2) for integer n >= 1.
+
+    For n = 1 this is 2, the counting measure of the two-point sphere S^0.
 
     Raises:
         DomainError: if n < 1.
@@ -63,4 +52,4 @@ def sphere_volume(n: int) -> SphereVolume:
     if int(n) != n or n < 1:
         raise DomainError(f"sphere_volume requires an integer n >= 1, got {n}")
     n = int(n)
-    return SphereVolume(n=n, value=2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)

@@ -11,9 +11,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def subprocess_env(extra=None):
     """Environment for a child process that imports fraclamb from this
-    checkout, with FRACLAMB_SEED unset unless ``extra`` sets it."""
+    checkout, updated with ``extra``."""
     env = dict(os.environ)
-    env.pop("FRACLAMB_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     env.update(extra or {})
     return env

@@ -6,16 +6,17 @@ from fraclamb import (
     ConvergenceError,
     DomainError,
     Exponential,
-    FractionalOrder,
     GaussTail,
     NoDecayError,
     QuadratureConfig,
     ShiftedGaussian,
     frac_derivative,
     materialize,
+    split_order,
     weyl_integral,
 )
 from fraclamb import _quad
+from fraclamb.fractional_ops import derivative_view
 from fraclamb.special_functions import gamma
 from conftest import rel_error
 
@@ -34,28 +35,20 @@ def quad_oracle(g, mu, x, lower=-40.0):
     return val / gamma(mu)
 
 
-class TestFractionalOrder:
+class TestSplitOrder:
     def test_canonical_splits(self):
-        assert FractionalOrder.from_order(0.5) == FractionalOrder(0.5, 1, 0.5)
-        assert FractionalOrder.from_order(2.5) == FractionalOrder(2.5, 3, 0.5)
-        assert FractionalOrder.from_order(2.0) == FractionalOrder(2.0, 2, 0.0)
-        assert FractionalOrder.from_order(0.0) == FractionalOrder(0.0, 0, 0.0)
-        assert FractionalOrder.from_order(-0.5) == FractionalOrder(-0.5, 0, 0.5)
-        assert FractionalOrder.from_order(-1.0) == FractionalOrder(-1.0, 0, 1.0)
-
-    def test_is_integer(self):
-        assert FractionalOrder.from_order(3.0).is_integer
-        assert not FractionalOrder.from_order(0.25).is_integer
+        assert split_order(0.5) == (1, 0.5)
+        assert split_order(2.5) == (3, 0.5)
+        assert split_order(2.0) == (2, 0.0)
+        assert split_order(0.0) == (0, 0.0)
+        assert split_order(-0.5) == (0, 0.5)
+        assert split_order(-1.0) == (0, 1.0)
+        assert split_order(5.5) == (6, 0.5)
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            FractionalOrder.from_order(-1.5)
-        with pytest.raises(DomainError):
-            FractionalOrder.from_order(5.0)
-
-    def test_inconsistent_split_rejected(self):
-        with pytest.raises(DomainError):
-            FractionalOrder(nu=1.0, k=1, mu=0.5)
+        for nu in (-1.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                split_order(nu)
 
 
 def test_weyl_eigenvalues_of_exponential():
@@ -150,8 +143,7 @@ def test_integer_orders_reduce_to_plain_derivatives():
         assert rel_error(got, np.exp(xs)) < 1e-12
     # The quadrature split D^(-1) f^(nu+1) must agree too.
     for nu in (1, 2, 3):
-        order = FractionalOrder(nu=float(nu), k=nu + 1, mu=1.0)
-        got = frac_derivative(f, order, xs, CFG)
+        got = weyl_integral(derivative_view(f, nu + 1), 1.0, xs, CFG)
         assert rel_error(got, np.exp(xs)) < 1e-9
 
 

@@ -104,7 +104,7 @@ def test_numeric_derivative_error_estimate_brackets_truth():
 
 
 def test_numeric_derivative_order_cap():
-    f = materialize(lambda x: np.exp(x), derivative_order=0, numeric_fallback=True)
+    f = materialize(lambda x: np.exp(x), numeric_fallback=True)
     with pytest.raises(UnsupportedOrderError):
         numeric_derivative(f, 5, 0.0)
     with pytest.raises(DomainError):
@@ -112,10 +112,10 @@ def test_numeric_derivative_order_cap():
 
 
 def test_derivative_fallback_gating():
-    plain = materialize(lambda x: np.exp(x), derivative_order=0)
+    plain = materialize(lambda x: np.exp(x))
     with pytest.raises(UnsupportedOrderError):
         plain.derivative(1, 0.0)
-    opted = materialize(lambda x: np.exp(x), derivative_order=0, numeric_fallback=True)
+    opted = materialize(lambda x: np.exp(x), numeric_fallback=True)
     assert opted.derivative(1, 0.0) == pytest.approx(1.0, rel=1e-7)
 
 

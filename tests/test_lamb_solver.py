@@ -7,7 +7,6 @@ from fraclamb import (
     CallableFunction,
     DomainError,
     Exponential,
-    FractionalOrder,
     NotPositiveDefiniteError,
     PosDefMatrix,
     ProblemSpec,
@@ -21,8 +20,10 @@ from fraclamb import (
     solve_power,
     solve_problem,
     solve_quadform,
+    weyl_integral,
     zero_function,
 )
+from fraclamb.fractional_ops import derivative_view
 from conftest import rel_error
 
 CFG = QuadratureConfig()
@@ -86,21 +87,6 @@ class TestProblemSpec:
     def test_quadform_dimension_follows_matrix(self):
         spec = ProblemSpec(variant="quadform", A=PosDefMatrix.identity(3))
         assert spec.n == 3
-
-    def test_json_round_trips(self):
-        specs = [
-            ProblemSpec(variant="classic"),
-            ProblemSpec(variant="symmetric_ndim", n=4),
-            ProblemSpec(variant="power", m=3),
-            ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0, 1.0], [1.0, 2.0]])),
-        ]
-        for spec in specs:
-            back = ProblemSpec.from_json(spec.to_json())
-            assert back.variant == spec.variant
-            assert back.n == spec.n
-            assert back.m == spec.m
-            if spec.A is not None:
-                assert np.array_equal(back.A.entries, spec.A.entries)
 
 
 def test_solve_classic_eigen_examples():
@@ -198,9 +184,19 @@ def test_even_direct_path_matches_fractional_path(family):
     for f in family:
         for n in (2, 4):
             direct = solve_ndim(f, n, tight)
-            order = FractionalOrder(nu=n // 2, k=n // 2 + 1, mu=1.0)
-            frac = math.pi ** (-n / 2.0) * frac_derivative(f, order, xs, tight)
+            # D^(-1) f^(m+1), the non-canonical split of the integer order m = n/2
+            frac = math.pi ** (-n / 2.0) * weyl_integral(derivative_view(f, n // 2 + 1), 1.0,
+                                                         xs, tight)
             assert rel_error(frac, direct(xs), floor=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize("n", [1, 3, 11, 16])
+def test_solve_ndim_shares_frac_derivative(family, n):
+    # Both split nu = n/2 through split_order, so they agree bit for bit.
+    xs = np.linspace(-1.0, 1.0, 5)
+    for f in family:
+        want = math.pi ** (-n / 2.0) * frac_derivative(f, n / 2.0, xs, CFG)
+        assert np.array_equal(solve_ndim(f, n, CFG)(xs), want)
 
 
 def test_solver_linearity(family):
@@ -219,7 +215,7 @@ def test_solver_linearity(family):
 
 
 def test_insufficient_derivatives_raise():
-    bare = materialize(lambda x: np.exp(x), derivative_order=0)
+    bare = materialize(lambda x: np.exp(x))
     with pytest.raises(UnsupportedOrderError):
         solve_classic(bare, CFG)
     order_two = CallableFunction(np.exp, derivative=lambda k, x: np.exp(x), derivative_order=2,

@@ -79,23 +79,21 @@ def test_sine_power_integral_equals_beta(m):
 
 
 def test_sphere_volume_examples():
-    assert sphere_volume(2).value == pytest.approx(2.0 * math.pi, rel=1e-14)
-    assert sphere_volume(3).value == pytest.approx(4.0 * math.pi, rel=1e-14)
-    assert sphere_volume(1).value == pytest.approx(2.0, rel=1e-14)
+    assert sphere_volume(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert sphere_volume(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert sphere_volume(1) == pytest.approx(2.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sphere_volume_closed_form(n):
-    sv = sphere_volume(n)
-    assert sv.n == n
-    assert sv.value == pytest.approx(2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0), rel=1e-14)
+    assert sphere_volume(n) == pytest.approx(2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sphere_volume_simplification_identity(n):
     # Vol(S^(n-1)) * Gamma(n/2) / 2 = pi^(n/2), the constant that turns the
     # formal solution into pi^(-n/2) D^(n/2) f.
-    lhs = sphere_volume(n).value * 0.5 * gamma(n / 2.0)
+    lhs = sphere_volume(n) * 0.5 * gamma(n / 2.0)
     assert lhs == pytest.approx(math.pi ** (n / 2.0), rel=1e-13)
 
 
