@@ -37,7 +37,6 @@ from .function_model import (
     effective_lower_cutoff,
     linear_combination,
     materialize,
-    numeric_derivative,
     sample,
     zero_function,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "GaussTail",
     "ShiftedGaussian",
     "GridFunction",
-    "numeric_derivative",
     "effective_lower_cutoff",
     "sample",
     "linear_combination",

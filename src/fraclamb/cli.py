@@ -34,6 +34,7 @@ from .forward_verifier import (
 )
 from .fractional_ops import derivative_view, frac_derivative, weyl_integral
 from .function_model import (
+    CallableFunction,
     Exponential,
     GaussTail,
     GridFunction,
@@ -333,9 +334,13 @@ def _selftest_checks(cfg: QuadratureConfig):
 
     worst = 0.0
     for f in (Exponential(1.0), ShiftedGaussian(1.0, 0.0)):
-        inner = materialize(
+        inner = CallableFunction(
             lambda x, f=f: frac_derivative(f, 0.5, x, cfg),
-            decay_like=f, decay_scale=4.0, numeric_fallback=True, label="half",
+            derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, cfg),
+            derivative_order=1,
+            tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
+            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
+            label="half",
         )
         lhs = np.asarray(frac_derivative(inner, 0.5, probe, cfg))
         rhs = np.asarray(f.derivative(1, probe))

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
-from .errors import DimensionCapError, DomainError, FracLambError
-from .function_model import CUTOFF_EPSILON, SmoothFunction, check_window, effective_lower_cutoff
-from .lamb_solver import PosDefMatrix, ProblemSpec, solve_problem
+from .errors import DimensionCapError, DomainError
+from .function_model import (CUTOFF_EPSILON, SmoothFunction, check_finite, check_window,
+                             effective_lower_cutoff)
+from .lamb_solver import PosDefMatrix, ProblemSpec, check_dimension, check_exponent, solve_problem
 from .special_functions import sphere_volume
 
 __all__ = [
@@ -58,10 +59,9 @@ _MC_DIM_CAP = 4
 
 def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
     """Distance below x past which |u| stays under epsilon * local scale."""
-    scale = abs(float(u(x))) or 1.0
-    if not math.isfinite(scale):
-        raise FracLambError(f"{u.label}: non-finite value ({scale}) at x = {x}")
-    L = effective_lower_cutoff(u, epsilon * scale, value_only=True)
+    value = float(u(x))
+    check_finite(u.label, x, value)
+    L = effective_lower_cutoff(u, epsilon * (abs(value) or 1.0), value_only=True)
     return max(float(x) - L, 1e-12)
 
 
@@ -73,9 +73,7 @@ def forward_radial(u: SmoothFunction, n: int, x: float,
     integrated in the r variable directly; the equivalent s = r^2 form
     would reintroduce a weak endpoint singularity for odd n.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    n = check_dimension(n)
     x = float(x)
     R = math.sqrt(_decay_span(u, x, CUTOFF_EPSILON))
     vol = sphere_volume(n)
@@ -89,9 +87,7 @@ def forward_radial(u: SmoothFunction, n: int, x: float,
 def forward_power(u: SmoothFunction, m: int, x: float,
                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """int_0^inf u(x - y^m) dy, truncated where u's tail dies."""
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"power exponent must be >= 1, got {m}")
+    m = check_exponent(m)
     x = float(x)
     Y = _decay_span(u, x, CUTOFF_EPSILON) ** (1.0 / m)
 
@@ -144,10 +140,7 @@ def forward_montecarlo(u: SmoothFunction, n: int, x: float,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Plain Monte Carlo estimate of int_{R^n} u(x - |y|^2) dy, n <= 4:
     forward_quadform_mc with A = identity."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
-    return forward_quadform_mc(u, PosDefMatrix.identity(n), x, cfg)
+    return forward_quadform_mc(u, PosDefMatrix.identity(check_dimension(n)), x, cfg)
 
 
 def forward(spec: ProblemSpec, u: SmoothFunction, x: float,

@@ -29,9 +29,9 @@ import numpy as np
 
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
-from .errors import DomainError, FracLambError, UnsupportedOrderError
+from .errors import DomainError, UnsupportedOrderError
 from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction,
-                             _restore_shape, effective_lower_cutoff)
+                             _restore_shape, check_finite, effective_lower_cutoff)
 from .special_functions import gamma
 
 __all__ = ["split_order", "weyl_integral", "frac_derivative"]
@@ -83,10 +83,9 @@ def _weyl_batch(g: SmoothFunction, mu: float, xs,
 
     # Truncation point of the -inf limit, relative to the batch's own scale
     # so windows deep in the decaying tail keep their relative accuracy.
-    scale = float(np.max(np.abs(g.evaluate(flat)))) or 1.0
-    if not math.isfinite(scale):
-        raise FracLambError(f"{g.label}: non-finite values ({scale}) on the evaluation points")
-    L = effective_lower_cutoff(g, CUTOFF_EPSILON * scale)
+    values = g.evaluate(flat)
+    check_finite(g.label, flat, values)
+    L = effective_lower_cutoff(g, CUTOFF_EPSILON * (float(np.max(np.abs(values))) or 1.0))
     T = np.sqrt(np.maximum(flat - L, 0.0))
 
     q, d = _flatten_exponent(mu)
@@ -126,11 +125,11 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
     f^(k) up to order K - k + 1, which is all the view exposes.
 
     Raises:
-        UnsupportedOrderError: k exceeds f.max_order.
+        UnsupportedOrderError: k exceeds f.derivative_order.
     """
     if k == 0:
         return f
-    if k > f.max_order:
+    if k > f.derivative_order:
         raise UnsupportedOrderError(
             f"{f.label}: needs derivative order {k}, has {f.derivative_order}"
         )

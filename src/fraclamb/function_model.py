@@ -3,9 +3,9 @@
 The solvers differentiate their input up to several orders and truncate
 integrals whose lower limit is -inf, so a bare callable is not enough. A
 :class:`SmoothFunction` bundles vectorized evaluation, analytic derivatives
-up to a declared order, and a tail bound that makes the truncation point
-computable. Decay is declared by the constructor, never inferred: sniffing
-decay rates numerically is unreliable.
+up to a declared order (refused above it), and a tail bound that makes the
+truncation point computable. Decay is declared by the constructor, never
+inferred: sniffing decay rates numerically is unreliable.
 
 The built-in test family (exponential, saturated exponential, shifted
 Gaussian) decays to zero with all derivatives as x -> -inf and carries
@@ -32,7 +32,6 @@ __all__ = [
     "GaussTail",
     "ShiftedGaussian",
     "GridFunction",
-    "numeric_derivative",
     "effective_lower_cutoff",
     "check_window",
     "sample",
@@ -40,10 +39,6 @@ __all__ = [
     "materialize",
     "zero_function",
 ]
-
-# How many orders past the declared analytic order the finite-difference
-# fallback will go. Stacked differences beyond that are numerically useless.
-NUMERIC_ORDER_SLACK = 4
 
 # Relative tail mass at which integrals with lower limit -inf are truncated.
 CUTOFF_EPSILON = 1e-12
@@ -66,7 +61,7 @@ class SmoothFunction:
     Subclasses or wrappers provide:
 
     * ``evaluate(x)``, vectorized over numpy arrays;
-    * analytic derivatives up to ``derivative_order`` (K);
+    * analytic derivatives up to ``derivative_order`` (K), none above it;
     * ``tail_bound(L)``, an upper bound on sup_{xi <= L} max_{k <= K+1}
       |f^(k)(xi)|, monotone non-increasing as L decreases and -> 0, which is
       what permits truncating integrals with lower limit -inf.
@@ -76,7 +71,6 @@ class SmoothFunction:
     """
 
     derivative_order: int = 0
-    numeric_fallback: bool = False
     label: str = "f"
 
     def evaluate(self, x):
@@ -86,33 +80,20 @@ class SmoothFunction:
         return _restore_shape(x, self.evaluate(np.asarray(x, dtype=float)))
 
     def derivative(self, k: int, x):
-        """k-th derivative at x (scalar or array).
-
-        Orders up to ``derivative_order`` are analytic; the rest, up to
-        ``max_order``, are central-difference estimates.
-        """
+        """k-th derivative at x (scalar or array), analytic up to
+        ``derivative_order``; a higher order raises UnsupportedOrderError."""
         k = int(k)
         if k < 0:
             raise DomainError(f"derivative order must be >= 0, got {k}")
         if k == 0:
             return self.__call__(x)
-        if k <= self.derivative_order:
-            xs = np.asarray(x, dtype=float)
-            return _restore_shape(x, self._analytic_derivative(k, xs))
-        if k <= self.max_order:
-            value, _ = numeric_derivative(self, k, x)
-            return value
-        raise UnsupportedOrderError(
-            f"{self.label}: derivative order {k} exceeds max_order {self.max_order}")
+        if k > self.derivative_order:
+            raise UnsupportedOrderError(
+                f"{self.label}: needs derivative order {k}, has {self.derivative_order}")
+        return _restore_shape(x, self._analytic_derivative(k, np.asarray(x, dtype=float)))
 
     def _analytic_derivative(self, k: int, x: np.ndarray) -> np.ndarray:
         raise UnsupportedOrderError(f"{self.label}: no analytic derivatives")
-
-    @property
-    def max_order(self) -> int:
-        """derivative_order, plus NUMERIC_ORDER_SLACK numeric orders if
-        numeric_fallback is set: the highest order ``derivative`` serves."""
-        return self.derivative_order + (NUMERIC_ORDER_SLACK if self.numeric_fallback else 0)
 
     @property
     def has_decay(self) -> bool:
@@ -133,19 +114,18 @@ class SmoothFunction:
 class CallableFunction(SmoothFunction):
     """SmoothFunction assembled from plain callables.
 
-    Used for lazily evaluated solver outputs, operator compositions, and
-    linear combinations.
+    ``derivative(k, x)`` supplies orders 1..``derivative_order``. Used for
+    lazily evaluated solver outputs, operator compositions, and linear
+    combinations.
     """
 
     def __init__(self, evaluate, derivative=None, derivative_order=0,
-                 tail_bound=None, value_tail_bound=None,
-                 numeric_fallback=False, label="f"):
+                 tail_bound=None, value_tail_bound=None, label="f"):
         self._evaluate = evaluate
         self._derivative = derivative
         self.derivative_order = int(derivative_order)
         self._tail_bound = tail_bound
         self._value_tail_bound = value_tail_bound
-        self.numeric_fallback = bool(numeric_fallback)
         self.label = label
 
     def evaluate(self, x):
@@ -354,9 +334,9 @@ def linear_combination(coeffs, functions, label=None) -> CallableFunction:
     )
 
 
-def materialize(func, decay_like=None, decay_scale=1.0, numeric_fallback=False,
+def materialize(func, decay_like=None, decay_scale=1.0,
                 label="materialized") -> CallableFunction:
-    """Wrap a vectorized callable as a SmoothFunction.
+    """Wrap a vectorized callable as a SmoothFunction with no derivatives.
 
     ``decay_like`` transfers another function's tail bound (scaled by
     ``decay_scale``); used when composing operators whose outputs provably
@@ -369,8 +349,7 @@ def materialize(func, decay_like=None, decay_scale=1.0, numeric_fallback=False,
         vtail = lambda L: decay_scale * decay_like.value_tail_bound(L)
     return CallableFunction(
         lambda x: np.asarray(func(x), dtype=float),
-        tail_bound=tail, value_tail_bound=vtail,
-        numeric_fallback=numeric_fallback, label=label,
+        tail_bound=tail, value_tail_bound=vtail, label=label,
     )
 
 
@@ -382,64 +361,6 @@ def zero_function() -> CallableFunction:
         tail_bound=lambda L: 0.0,
         label="zero",
     )
-
-
-# ---------------------------------------------------------------------------
-# Numeric differentiation
-# ---------------------------------------------------------------------------
-
-_TUNED_STEPS = {3: 0.012, 4: 0.02}
-
-
-def _default_step(k: int) -> float:
-    # Balances O(h^4) truncation (after Richardson) against roundoff
-    # amplification 2^k eps / h^k of the k-th difference; the tuned entries
-    # come from sweeping the built-in family over [-5, 5].
-    if k in _TUNED_STEPS:
-        return _TUNED_STEPS[k]
-    eps = np.finfo(float).eps
-    return (2.0 ** k * eps) ** (1.0 / (k + 4))
-
-
-def _central_difference(f: SmoothFunction, k: int, x: np.ndarray, h: float) -> np.ndarray:
-    # k-th order central stencil with nodes x + (k/2 - j) h, j = 0..k.
-    acc = np.zeros(np.shape(x), dtype=float)
-    for j in range(k + 1):
-        acc += (-1.0) ** j * math.comb(k, j) * f.evaluate(x + (k / 2.0 - j) * h)
-    return acc / h ** k
-
-
-def numeric_derivative(f: SmoothFunction, k: int, x, h: float | None = None):
-    """Central-difference estimate of f^(k)(x) with Richardson extrapolation.
-
-    Evaluates the k-th central stencil at steps h and h/2 and eliminates the
-    leading O(h^2) error term. Returns ``(value, error_estimate)``; the error
-    estimate is the Richardson correction magnitude.
-
-    Raises:
-        UnsupportedOrderError: if k exceeds the analytic order by more than 4.
-    """
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"derivative order must be >= 0, got {k}")
-    if k > f.derivative_order + NUMERIC_ORDER_SLACK:
-        raise UnsupportedOrderError(
-            f"numeric_derivative supports k <= K+{NUMERIC_ORDER_SLACK} "
-            f"(K={f.derivative_order}), got {k}"
-        )
-    xs = np.asarray(x, dtype=float)
-    if k == 0:
-        return _restore_shape(x, f.evaluate(xs)), 0.0
-    if h is None:
-        h = _default_step(k)
-    h = float(h)
-    if h <= 0.0:
-        raise DomainError(f"step must be > 0, got {h}")
-    coarse = _central_difference(f, k, xs, h)
-    fine = _central_difference(f, k, xs, h / 2.0)
-    value = (4.0 * fine - coarse) / 3.0
-    err = np.max(np.abs(fine - coarse)) / 3.0
-    return _restore_shape(x, value), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +496,15 @@ def check_window(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
+def check_finite(label: str, xs, values) -> None:
+    """FracLambError naming the first point of xs where values is not finite."""
+    xs, values = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(values, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
+
+
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
 
@@ -589,7 +519,5 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     step = (b - a) / (count - 1)
     nodes = a + np.arange(count) * step
     values = np.asarray(f(nodes), dtype=float)
-    if not np.isfinite(values).all():
-        i = int(np.argmin(np.isfinite(values)))
-        raise FracLambError(f"{f.label}: non-finite value {values[i]} at x = {nodes[i]:.17g}")
+    check_finite(f.label, nodes, values)
     return GridFunction(x_start=a, x_step=step, values=values)

@@ -105,6 +105,21 @@ class PosDefMatrix:
 _VARIANTS = ("classic", "symmetric_ndim", "power", "quadform")
 
 
+def check_dimension(n) -> int:
+    """n as an int; DomainError unless n >= 1."""
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
+    return n
+
+
+def check_exponent(m) -> int:
+    """m as an int; DomainError unless m is given and m >= 1."""
+    if m is None or int(m) < 1:
+        raise DomainError(f"power exponent must be >= 1, got {m}")
+    return int(m)
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Which equation to solve: variant plus its variant-specific data."""
@@ -124,16 +139,12 @@ class ProblemSpec:
         elif self.A is not None:
             raise DomainError(f"variant {self.variant!r} does not take a matrix")
         if self.variant == "power":
-            if self.m is None or int(self.m) < 1:
-                raise DomainError("power requires an integer exponent m >= 1")
-            object.__setattr__(self, "m", int(self.m))
+            object.__setattr__(self, "m", check_exponent(self.m))
         elif self.m is not None:
             raise DomainError(f"variant {self.variant!r} does not take an exponent m")
         if self.variant in ("classic", "power") and self.n != 1:
             raise DomainError(f"variant {self.variant!r} is one-dimensional (n=1)")
-        if int(self.n) < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_dimension(self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +187,7 @@ def solve_ndim(f: SmoothFunction, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG
         DomainError: n < 1.
         UnsupportedOrderError: f cannot supply the derivative order needed.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    n = check_dimension(n)
     return _solution(f, n / 2.0, math.pi ** (-n / 2.0), f"u_ndim[n={n}]({f.label})", cfg)
 
 
@@ -189,9 +198,7 @@ def solve_power(f: SmoothFunction, m: int, cfg: QuadratureConfig = DEFAULT_CONFI
     degenerates to u = f'. The formula is certified by the forward_power
     residual in the verification suite.
     """
-    m = int(m)
-    if m < 1:
-        raise DomainError(f"power exponent must be >= 1, got {m}")
+    m = check_exponent(m)
     return _solution(f, 1.0 / m, 1.0 / gamma(1.0 + 1.0 / m), f"u_power[m={m}]({f.label})", cfg)
 
 

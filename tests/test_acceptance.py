@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from fraclamb import (
+    CallableFunction,
     Exponential,
     GaussTail,
     PosDefMatrix,
@@ -196,9 +197,12 @@ def test_criterion_7_fractional_operator_laws():
 
     half_twice = 0.0
     for f in FAMILY:
-        inner = materialize(
+        inner = CallableFunction(
             lambda x, f=f: frac_derivative(f, 0.5, x, CFG),
-            decay_like=f, decay_scale=4.0, numeric_fallback=True,
+            derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, CFG),
+            derivative_order=1,
+            tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
+            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
         )
         half_twice = max(half_twice, rel_error(
             frac_derivative(inner, 0.5, probe, CFG),

@@ -289,21 +289,22 @@ def test_non_finite_integrand_scale_exits_three(command, capsys):
     assert main([command, "--variant", "classic", "--function",
                  "shifted_gaussian:sigma=1e-200", "--window", "-1:1"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical error:")
-    assert "shifted_gaussian(sigma=1e-200" in err
+    assert err == ("numerical error: D^1[shifted_gaussian(sigma=1e-200, c=0)]: "
+                   "non-finite value nan at x = -1\n")
 
 
-@pytest.mark.parametrize("variant", [["power", "-m", "1"], ["symmetric_ndim", "-n", "2"]],
-                         ids=["power_m1", "ndim_n2"])
-def test_non_finite_grid_value_exits_three(variant, capsys):
-    # u = c f^(k) is inf at x = 712, although f itself is finite there.
-    assert main(["solve", "--variant", *variant, "--function", "exp",
-                 "--window", "700:712", "--count", "3"]) == 3
+@pytest.mark.parametrize("argv,label", [
+    (["solve", "--variant", "power", "-m", "1"], "u_power[m=1](exp(lambda=1))"),
+    (["solve", "--variant", "symmetric_ndim", "-n", "2"], "u_ndim[n=2](exp(lambda=1))"),
+    (["forward", "--variant", "classic"], "exp(lambda=1)"),
+], ids=["power_m1", "ndim_n2", "forward_classic"])
+def test_non_finite_grid_value_exits_three(argv, label, capsys):
+    # e^x overflows at the window's right end, x = 712: in u = c f^(k) for
+    # solve, in f itself for forward. One line, one format, no numpy warning.
+    assert main([*argv, "--function", "exp", "--window", "700:712", "--count", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical error:")
-    assert "exp(lambda=1)" in captured.err
-    assert len(captured.err.splitlines()) == 1  # no numpy warning lines
+    assert captured.err == f"numerical error: {label}: non-finite value inf at x = 712\n"
 
 
 @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])

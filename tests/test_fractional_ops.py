@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from fraclamb import (
+    CallableFunction,
     ConvergenceError,
     DomainError,
     Exponential,
@@ -125,9 +126,13 @@ def test_semigroup_property(family):
 def test_half_derivative_twice_is_first_derivative(family):
     xs = np.linspace(-1.0, 1.0, 7)
     for f in family:
-        inner = materialize(
+        inner = CallableFunction(
             lambda x, f=f: frac_derivative(f, 0.5, x, CFG),
-            decay_like=f, decay_scale=4.0, numeric_fallback=True, label="half",
+            derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, CFG),
+            derivative_order=1,
+            tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
+            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
+            label="half",
         )
         lhs = np.asarray(frac_derivative(inner, 0.5, xs, CFG))
         rhs = np.asarray(f.derivative(1, xs))

@@ -16,10 +16,11 @@ from fraclamb import (
     effective_lower_cutoff,
     linear_combination,
     materialize,
-    numeric_derivative,
     sample,
     zero_function,
 )
+from fraclamb.fractional_ops import derivative_view
+from fraclamb.function_model import BUILTIN_ORDER
 from conftest import rel_error
 
 
@@ -69,54 +70,19 @@ def test_high_order_derivatives_match_mpmath(k):
             assert f.derivative(k, x) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
-# Step sizes matched to each member's derivative scale; finite differences
-# cannot hold a relative target where |f^(k)| collapses against |f|.
-_FD_CASES = [
-    (Exponential(1.0), 0.03),
-    (Exponential(2.0), 0.02),
-    (GaussTail(1.0, 8.0), 0.03),
-    (ShiftedGaussian(1.0, 0.0), 0.016),
-]
-
-
-@pytest.mark.parametrize("f,h", _FD_CASES, ids=lambda c: getattr(c, "label", c))
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_numeric_derivative_agrees_with_analytic(f, h, k):
-    xs = np.linspace(-5.0, 5.0, 50)
-    got, _ = numeric_derivative(f, k, xs, h=h)
-    want = np.asarray(f.derivative(k, xs))
-    assert rel_error(got, want, floor=1e-3) < 1e-6
-
-
-def test_numeric_derivative_examples():
-    value, err = numeric_derivative(Exponential(1.0), 1, 0.0)
-    assert abs(value - 1.0) < 1e-8
-    value, err = numeric_derivative(ShiftedGaussian(1.0, 0.0), 2, 0.0)
-    assert abs(value - (-1.0)) < 1e-6
-    value, err = numeric_derivative(Exponential(2.0), 0, 0.0)
-    assert value == 1.0 and err == 0.0
-
-
-def test_numeric_derivative_error_estimate_brackets_truth():
-    f = Exponential(1.0)
-    value, err = numeric_derivative(f, 2, 0.5, h=0.05)
-    assert abs(value - math.exp(0.5)) < 10.0 * err + 1e-12
-
-
-def test_numeric_derivative_order_cap():
-    f = materialize(lambda x: np.exp(x), numeric_fallback=True)
-    with pytest.raises(UnsupportedOrderError):
-        numeric_derivative(f, 5, 0.0)
-    with pytest.raises(DomainError):
-        numeric_derivative(f, 1, 0.0, h=-1.0)
-
-
-def test_derivative_fallback_gating():
+def test_derivative_fallback_gating(family):
+    # One order rule: derivatives are analytic up to derivative_order and
+    # refused above it, by derivative and derivative_view alike.
     plain = materialize(lambda x: np.exp(x))
     with pytest.raises(UnsupportedOrderError):
         plain.derivative(1, 0.0)
-    opted = materialize(lambda x: np.exp(x), numeric_fallback=True)
-    assert opted.derivative(1, 0.0) == pytest.approx(1.0, rel=1e-7)
+    for f in family:
+        top = f.derivative(BUILTIN_ORDER, 0.3)
+        assert math.isfinite(top) and derivative_view(f, BUILTIN_ORDER)(0.3) == top
+        with pytest.raises(UnsupportedOrderError):
+            f.derivative(BUILTIN_ORDER + 1, 0.3)
+        with pytest.raises(UnsupportedOrderError):
+            derivative_view(f, BUILTIN_ORDER + 1)
 
 
 def test_effective_lower_cutoff_examples():

@@ -12,6 +12,9 @@ from fraclamb import (
     ProblemSpec,
     QuadratureConfig,
     UnsupportedOrderError,
+    forward_montecarlo,
+    forward_power,
+    forward_radial,
     frac_derivative,
     linear_combination,
     materialize,
@@ -121,9 +124,25 @@ def test_solve_ndim_examples():
     assert rel_error(u4(xs), np.exp(xs) / math.pi ** 2) < 1e-14
 
 
-def test_solve_ndim_rejects_bad_dimension():
-    with pytest.raises(DomainError):
-        solve_ndim(Exponential(1.0), 0, CFG)
+@pytest.mark.parametrize("site", [
+    lambda: ProblemSpec(variant="symmetric_ndim", n=0),
+    lambda: solve_ndim(Exponential(1.0), 0, CFG),
+    lambda: forward_radial(Exponential(1.0), 0, 0.0, CFG),
+    lambda: forward_montecarlo(Exponential(1.0), 0, 0.0, CFG),
+], ids=["ProblemSpec", "solve_ndim", "forward_radial", "forward_montecarlo"])
+def test_solve_ndim_rejects_bad_dimension(site):
+    with pytest.raises(DomainError, match=r"^dimension must be >= 1, got 0$"):
+        site()
+
+
+@pytest.mark.parametrize("site", [
+    lambda: ProblemSpec(variant="power", m=0),
+    lambda: solve_power(Exponential(1.0), 0, CFG),
+    lambda: forward_power(Exponential(1.0), 0, 0.0, CFG),
+], ids=["ProblemSpec", "solve_power", "forward_power"])
+def test_rejects_bad_power_exponent(site):
+    with pytest.raises(DomainError, match=r"^power exponent must be >= 1, got 0$"):
+        site()
 
 
 def test_solve_power_examples():
