@@ -35,8 +35,8 @@ from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
 from .function_model import (CUTOFF_EPSILON, SmoothFunction, check_finite, check_window,
                              effective_lower_cutoff)
-from .lamb_solver import PosDefMatrix, ProblemSpec, check_dimension, check_exponent, solve_problem
-from .special_functions import sphere_volume
+from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
+from .special_functions import check_dimension, sphere_volume
 
 __all__ = [
     "QuadratureConfig",

@@ -121,8 +121,9 @@ def weyl_integral(g: SmoothFunction, mu: float, x,
 def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
     """f^(k) as a SmoothFunction, inheriting f's tail bound.
 
-    The bound on max_{j <= K+1} |f^(j)| left of L covers the derivatives of
-    f^(k) up to order K - k + 1, which is all the view exposes.
+    Its j-th derivative is f^(k+j), for j up to K - k. The bound on
+    max_{j <= K+1} |f^(j)| left of L covers the derivatives of f^(k) up to
+    order K - k + 1, which is all the view exposes.
 
     Raises:
         UnsupportedOrderError: k exceeds f.derivative_order.
@@ -136,6 +137,7 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
     tail = f.tail_bound if f.has_decay else None
     return CallableFunction(
         lambda x: np.asarray(f.derivative(k, x), dtype=float),
+        derivative=lambda j, x: f.derivative(k + j, x),
         derivative_order=max(f.derivative_order - k, 0),
         tail_bound=tail,
         label=f"D^{k}[{f.label}]",

@@ -177,9 +177,15 @@ class Exponential(SmoothFunction):
     def _analytic_derivative(self, k, x):
         return self.lam ** k * np.exp(self.lam * x)
 
+    @functools.cached_property
+    def _tail_constant(self):
+        # sup over k <= K+1 of lam^k; raises OverflowError for a huge lam,
+        # which effective_lower_cutoff reads as an infinite bound.
+        return max(1.0, self.lam) ** (self.derivative_order + 1)
+
     def tail_bound(self, L):
         # sup over k <= K+1 of lam^k e^(lam xi), xi <= L
-        return max(1.0, self.lam) ** (self.derivative_order + 1) * math.exp(self.lam * L)
+        return self._tail_constant * math.exp(self.lam * L)
 
     def value_tail_bound(self, L):
         return math.exp(self.lam * L)
@@ -235,14 +241,18 @@ class GaussTail(SmoothFunction):
             * np.polynomial.polynomial.polyval(s, poly)
         return val.reshape(np.shape(x))
 
-    def tail_bound(self, L):
-        # |P_k(s)| <= s * sum|coeffs| on [0,1] since P_k(0) = 0,
-        # and sigmoid(t) <= e^t, so each derivative is <= C_k lam^k e^(lam xi).
-        worst = max(
+    @functools.cached_property
+    def _tail_constant(self):
+        # max over k <= K+1 of C_k lam^k, with C_k = sum|coeffs of P_k|.
+        return max(
             self.lam ** k * float(np.abs(_logistic_poly(k)).sum())
             for k in range(self.derivative_order + 2)
         )
-        return worst * math.exp(self.lam * L)
+
+    def tail_bound(self, L):
+        # |P_k(s)| <= s * sum|coeffs| on [0,1] since P_k(0) = 0,
+        # and sigmoid(t) <= e^t, so each derivative is <= C_k lam^k e^(lam xi).
+        return self._tail_constant * math.exp(self.lam * L)
 
     def value_tail_bound(self, L):
         return math.exp(self.lam * L)
@@ -273,19 +283,31 @@ class ShiftedGaussian(SmoothFunction):
         he = np.polynomial.polynomial.polyval(t, _hermite_coeffs(k))
         return (-1.0 / self.sigma) ** k * he * np.exp(-0.5 * t * t)
 
-    def tail_bound(self, L):
-        t = (float(L) - self.c) / self.sigma
-        worst = 0.0
+    @functools.cached_property
+    def _tail_terms(self):
+        """(k, peak_k, sigma^(-k) sum|He_k coeffs|, flat envelope_k) for k <= K+1.
+
+        The envelope max over tau <= t of max(1,|tau|)^k e^(-tau^2/2) peaks at
+        |tau| = sqrt(k) and decreases beyond it: left of -peak_k it is
+        |t|^k e^(-t^2/2), elsewhere the flat maximum. sigma^(-k) raises
+        OverflowError for a tiny sigma, which effective_lower_cutoff reads as
+        an infinite bound.
+        """
+        terms = []
         for k in range(self.derivative_order + 2):
             hk = float(np.abs(_hermite_coeffs(k)).sum())
-            # max over tau <= t of max(1,|tau|)^k e^(-tau^2/2); the envelope
-            # peaks at |tau| = sqrt(k) and decreases beyond it.
             peak = max(1.0, math.sqrt(k) if k else 1.0)
-            if t <= -peak:
-                envelope = abs(t) ** k * math.exp(-0.5 * t * t)
-            else:
-                envelope = max(1.0, k ** (k / 2.0) * math.exp(-k / 2.0) if k else 1.0)
-            worst = max(worst, self.sigma ** (-k) * hk * envelope)
+            flat = max(1.0, k ** (k / 2.0) * math.exp(-k / 2.0) if k else 1.0)
+            terms.append((k, peak, self.sigma ** (-k) * hk, flat))
+        return tuple(terms)
+
+    def tail_bound(self, L):
+        t = (float(L) - self.c) / self.sigma
+        gauss = math.exp(-0.5 * t * t)
+        worst = 0.0
+        for k, peak, scale, flat in self._tail_terms:
+            envelope = abs(t) ** k * gauss if t <= -peak else flat
+            worst = max(worst, scale * envelope)
         return worst
 
     def value_tail_bound(self, L):
@@ -368,7 +390,13 @@ def zero_function() -> CallableFunction:
 # ---------------------------------------------------------------------------
 
 def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool = False) -> float:
-    """Smallest-effort L with tail_bound(L) <= epsilon.
+    """The point L where f's tail bound crosses epsilon, with bound(L) <= epsilon.
+
+    Left of L every |f^(k)| the bound covers is at most epsilon, so an
+    integral with lower limit -inf may be truncated at L. Doubling steps
+    bracket the crossing in [L, R] with bound(R) > epsilon; bisection then
+    narrows the bracket for at most 60 steps, stopping early once it is one
+    ulp wide. A bound that never exceeds epsilon on [0, 2^63] gives L = 2^63.
 
     ``value_only`` uses the bound on |f| alone (enough for integrals of f
     itself, giving tighter boxes than the all-derivatives bound). A bound
@@ -412,6 +440,8 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
 
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # one ulp wide: every further step would leave [lo, hi] as is
         if bound(mid) <= epsilon:
             lo = mid
         else:

@@ -35,7 +35,7 @@ from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, NotPositiveDefiniteError
 from .fractional_ops import derivative_view, split_order, _weyl_batch
 from .function_model import CallableFunction, SmoothFunction, materialize
-from .special_functions import gamma
+from .special_functions import check_dimension, check_positive_integer, gamma
 
 __all__ = [
     "PosDefMatrix",
@@ -105,19 +105,11 @@ class PosDefMatrix:
 _VARIANTS = ("classic", "symmetric_ndim", "power", "quadform")
 
 
-def check_dimension(n) -> int:
-    """n as an int; DomainError unless n >= 1."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
-    return n
-
-
 def check_exponent(m) -> int:
-    """m as an int; DomainError unless m is given and m >= 1."""
-    if m is None or int(m) < 1:
-        raise DomainError(f"power exponent must be >= 1, got {m}")
-    return int(m)
+    """m as an int; DomainError unless m is given and is an integer >= 1."""
+    if m is None:
+        raise DomainError("power exponent must be >= 1, got None")
+    return check_positive_integer("power exponent", m)
 
 
 @dataclass(frozen=True)

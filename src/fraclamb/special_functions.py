@@ -41,15 +41,35 @@ def beta(p: float, q: float) -> float:
     return gamma(p) * gamma(q) / gamma(p + q)
 
 
+def check_positive_integer(name: str, value) -> int:
+    """value as an int; DomainError unless it is an integer >= 1.
+
+    An integral float such as 2.0 passes; 2.5 is refused, never truncated.
+    """
+    try:
+        integral = float(value).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise DomainError(f"{name} must be an integer, got {value}")
+    value = int(value)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def check_dimension(n) -> int:
+    """n as an int; DomainError unless n is an integer >= 1."""
+    return check_positive_integer("dimension", n)
+
+
 def sphere_volume(n: int) -> float:
     """Vol(S^(n-1)) = 2 pi^(n/2) / Gamma(n/2) for integer n >= 1.
 
     For n = 1 this is 2, the counting measure of the two-point sphere S^0.
 
     Raises:
-        DomainError: if n < 1.
+        DomainError: if n is not an integer >= 1.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"sphere_volume requires an integer n >= 1, got {n}")
-    n = int(n)
+    n = check_dimension(n)
     return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)

@@ -152,6 +152,15 @@ def test_integer_orders_reduce_to_plain_derivatives():
         assert rel_error(got, np.exp(xs)) < 1e-9
 
 
+def test_derivative_view_supplies_the_orders_it_declares(family):
+    # The view of f^(2) declares order K - 2, so its j-th derivative is f^(2+j).
+    xs = np.linspace(-1.0, 1.0, 5)
+    for f in family:
+        view = derivative_view(f, 2)
+        assert view.derivative(1, 0.0) == f.derivative(3, 0.0)
+        assert np.array_equal(frac_derivative(view, 2.5, xs, CFG), frac_derivative(f, 4.5, xs, CFG))
+
+
 def test_frac_derivative_identity_and_scalar_forms():
     f = GaussTail(1.0, 0.0)
     assert frac_derivative(f, 0.0, 0.3, CFG) == pytest.approx(float(f(0.3)), rel=1e-14)

@@ -20,7 +20,7 @@ from fraclamb import (
     zero_function,
 )
 from fraclamb.fractional_ops import derivative_view
-from fraclamb.function_model import BUILTIN_ORDER
+from fraclamb.function_model import BUILTIN_ORDER, _hermite_coeffs, _logistic_poly
 from conftest import rel_error
 
 
@@ -117,6 +117,118 @@ def test_tail_bound_decreases_to_zero(family):
         values = [f.tail_bound(L) for L in (0.0, -5.0, -10.0, -20.0, -40.0, -80.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-12
+
+
+# The tail bounds as they were evaluated before their per-order constants
+# were computed once per instance: every value must stay bit for bit.
+def _gauss_tail_bound_per_call(f, L):
+    worst = max(
+        f.lam ** k * float(np.abs(_logistic_poly(k)).sum())
+        for k in range(f.derivative_order + 2)
+    )
+    return worst * math.exp(f.lam * L)
+
+
+def _shifted_gaussian_bound_per_call(f, L):
+    t = (float(L) - f.c) / f.sigma
+    worst = 0.0
+    for k in range(f.derivative_order + 2):
+        hk = float(np.abs(_hermite_coeffs(k)).sum())
+        peak = max(1.0, math.sqrt(k) if k else 1.0)
+        if t <= -peak:
+            envelope = abs(t) ** k * math.exp(-0.5 * t * t)
+        else:
+            envelope = max(1.0, k ** (k / 2.0) * math.exp(-k / 2.0) if k else 1.0)
+        worst = max(worst, f.sigma ** (-k) * hk * envelope)
+    return worst
+
+
+def test_tail_bounds_match_per_call_formulas():
+    for f in (GaussTail(1.0, 0.0), GaussTail(0.5, -1.0), GaussTail(2.0, 0.7)):
+        for L in [*np.linspace(-300.0, 300.0, 121), -1e-300, 0.0, 1e-300]:
+            assert f.tail_bound(L) == _gauss_tail_bound_per_call(f, L)
+    # Both sides of every switch t = -max(1, sqrt(k)), the deep tail where
+    # e^(-t^2/2) underflows, and L right of the centre.
+    switches = [-max(1.0, math.sqrt(k)) for k in range(BUILTIN_ORDER + 2)]
+    ts = [*np.linspace(-12.0, 4.0, 161), -38.0, -40.0, -1e3, -1e20]
+    for t in switches:
+        ts += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), t - 1e-9, t + 1e-9]
+    for f in (ShiftedGaussian(1.0, 0.0), ShiftedGaussian(0.5, 1.0), ShiftedGaussian(2.0, -0.3),
+              ShiftedGaussian(1e-3, 0.2)):
+        for t in ts:
+            L = f.c + f.sigma * t
+            assert f.tail_bound(L) == _shifted_gaussian_bound_per_call(f, L)
+    # sigma^(-k) overflows: the constructor accepts it, and every tail_bound
+    # call raises, as the per-call formula does.
+    tiny = ShiftedGaussian(1e-200, 0.0)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            tiny.tail_bound(-1.0)
+
+
+def _full_bisection(f, epsilon, value_only):
+    """effective_lower_cutoff with all 60 bisection steps, for reference."""
+    raw_bound = f.value_tail_bound if value_only else f.tail_bound
+
+    def bound(L):
+        try:
+            return raw_bound(L)
+        except OverflowError:
+            return math.inf
+
+    if bound(0.0) > epsilon:
+        lo, hi, step = -1.0, 0.0, 1.0
+        while bound(lo) > epsilon:
+            hi = lo
+            lo -= step
+            step *= 2.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            if bound(hi) > epsilon:
+                break
+            lo = hi
+            hi *= 2.0
+        else:
+            return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) <= epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_effective_lower_cutoff_matches_full_bisection(family):
+    functions = family + [
+        Exponential(1e-3), GaussTail(0.5, -1.0), ShiftedGaussian(0.5, 1.0),
+        ShiftedGaussian(1e-3, 0.2),
+        linear_combination([2.0, -0.5], [GaussTail(2.0, 0.7), ShiftedGaussian(2.0, -0.3)]),
+    ]
+    for f in functions:
+        for eps in (1e3, 1.0, 1e-3, 1e-8, 1e-12, 1e-30, 1e-300):
+            for value_only in (False, True):
+                assert effective_lower_cutoff(f, eps, value_only) == \
+                    _full_bisection(f, eps, value_only)
+
+
+def test_tail_bounds_cover_every_derivative():
+    # The contract every truncation rests on: left of L, tail_bound(L) bounds
+    # |f^(k)| for every analytic order k and value_tail_bound(L) bounds |f|.
+    # The bounds hold for exact values; evaluating f rounds a few ulps.
+    rounding = 1.0 + 64.0 * np.finfo(float).eps
+    functions = [
+        Exponential(0.5), Exponential(1.0), Exponential(3.0),
+        GaussTail(1.0, 0.0), GaussTail(0.5, -1.0), GaussTail(2.0, 0.7),
+        ShiftedGaussian(1.0, 0.0), ShiftedGaussian(0.5, 1.0), ShiftedGaussian(2.0, -0.3),
+    ]
+    for f in functions:
+        for L in (3.0, 0.0, -0.5, -1.0, -2.0, -5.0, -10.0, -30.0):
+            xi = L - np.concatenate([[0.0], np.geomspace(1e-9, 40.0, 120)])
+            worst = max(np.max(np.abs(f.derivative(k, xi))) for k in range(BUILTIN_ORDER + 1))
+            assert worst <= f.tail_bound(L) * rounding, (f.label, L)
+            assert np.max(np.abs(f(xi))) <= f.value_tail_bound(L) * rounding, (f.label, L)
 
 
 def test_sample_examples():

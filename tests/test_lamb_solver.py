@@ -27,6 +27,7 @@ from fraclamb import (
     zero_function,
 )
 from fraclamb.fractional_ops import derivative_view
+from fraclamb.special_functions import sphere_volume
 from conftest import rel_error
 
 CFG = QuadratureConfig()
@@ -143,6 +144,26 @@ def test_solve_ndim_rejects_bad_dimension(site):
 def test_rejects_bad_power_exponent(site):
     with pytest.raises(DomainError, match=r"^power exponent must be >= 1, got 0$"):
         site()
+
+
+@pytest.mark.parametrize("site", [
+    lambda: ProblemSpec(variant="power", m=2.5),
+    lambda: solve_power(Exponential(1.0), 2.5, CFG),
+    lambda: solve_ndim(Exponential(1.0), 2.5, CFG),
+    lambda: forward_radial(Exponential(1.0), 2.5, 0.0, CFG),
+    lambda: sphere_volume(2.5),
+], ids=["ProblemSpec", "solve_power", "solve_ndim", "forward_radial", "sphere_volume"])
+def test_rejects_non_integer_dimension_or_exponent(site):
+    # Never truncated to 2; an integral float such as 2.0 is still accepted.
+    with pytest.raises(DomainError, match=r"^(dimension|power exponent) must be an integer, got 2.5$"):
+        site()
+
+
+def test_accepts_integral_float_dimension_and_exponent():
+    f = Exponential(1.0)
+    assert ProblemSpec(variant="power", m=3.0).m == 3
+    assert solve_ndim(f, 2.0, CFG).label == solve_ndim(f, 2, CFG).label
+    assert solve_power(f, 3.0, CFG)(0.0) == solve_power(f, 3, CFG)(0.0)
 
 
 def test_solve_power_examples():
