@@ -66,12 +66,18 @@ class SmoothFunction:
       |f^(k)(xi)|, monotone non-increasing as L decreases and -> 0, which is
       what permits truncating integrals with lower limit -inf.
 
+    ``quadrature_valued`` is True when every value costs a quadrature of
+    its own (a Weyl integral) while the function stays smooth, so a
+    caller that needs many values may interpolate it and check the
+    interpolant against direct values.
+
     Instances are immutable after construction and safe to share across
     threads for read-only evaluation.
     """
 
     derivative_order: int = 0
     label: str = "f"
+    quadrature_valued: bool = False
 
     def evaluate(self, x):
         raise NotImplementedError

@@ -34,7 +34,7 @@ import numpy as np
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, NotPositiveDefiniteError
 from .fractional_ops import derivative_view, split_order, _weyl_batch
-from .function_model import CallableFunction, SmoothFunction, materialize
+from .function_model import CallableFunction, SmoothFunction
 from .special_functions import check_dimension, check_positive_integer, gamma
 
 __all__ = [
@@ -149,7 +149,8 @@ def _solution(f: SmoothFunction, nu: float, const: float, label: str,
 
     With (k, mu) = split_order(nu), the split frac_derivative makes too, an
     integer order (mu = 0) is the scaled derivative const * f^(k); otherwise
-    u is const times the Weyl integral of order mu of f^(k).
+    u is const times the Weyl integral of order mu of f^(k), and is marked
+    quadrature_valued.
     """
     k, mu = split_order(nu)
     fk = derivative_view(f, k)
@@ -160,7 +161,9 @@ def _solution(f: SmoothFunction, nu: float, const: float, label: str,
     tail = None
     if f.has_decay:
         tail = lambda L: _TAIL_MARGIN * abs(const) * f.tail_bound(L)
-    return CallableFunction(evaluate, derivative_order=0, tail_bound=tail, label=label)
+    u = CallableFunction(evaluate, derivative_order=0, tail_bound=tail, label=label)
+    u.quadrature_valued = mu != 0.0
+    return u
 
 
 def solve_classic(f: SmoothFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SmoothFunction:
@@ -204,11 +207,9 @@ def solve_quadform(f: SmoothFunction, A: PosDefMatrix,
     """
     if not isinstance(A, PosDefMatrix):
         A = PosDefMatrix(A)
-    base = solve_ndim(f, A.n, cfg)
-    scale = math.sqrt(A.det)
-    return materialize(lambda xs: scale * base.evaluate(xs),
-                       decay_like=base if base.has_decay else None, decay_scale=scale,
-                       label=f"u_quadform[det={A.det:g}]({f.label})")
+    n = A.n
+    return _solution(f, n / 2.0, math.sqrt(A.det) * math.pi ** (-n / 2.0),
+                     f"u_quadform[det={A.det:g}]({f.label})", cfg)
 
 
 def solve_problem(spec: ProblemSpec, f: SmoothFunction,

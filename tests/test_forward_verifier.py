@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate
 
 from fraclamb import (
+    CallableFunction,
+    ConvergenceError,
     DimensionCapError,
     DomainError,
     Exponential,
@@ -21,6 +23,7 @@ from fraclamb import (
     forward_quadform_mc,
     forward_radial,
     materialize,
+    solve_quadform,
     sphere_volume,
     verify,
     zero_function,
@@ -262,3 +265,90 @@ def test_decay_span_rejects_non_finite_scale():
     with pytest.raises(FracLambError, match="nan_everywhere") as info:
         forward_power(u, 2, 0.0, CFG)
     assert not isinstance(info.value, DomainError)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev proxy for quadrature-valued solutions
+# ---------------------------------------------------------------------------
+
+PROXY_CFG = QuadratureConfig(mc_samples=5000)
+PROXY_MATRICES = [
+    PosDefMatrix([[2.0]]),
+    PosDefMatrix([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]]),
+]
+
+
+def _direct(u):
+    """u without the quadrature_valued mark: evaluated at every sample."""
+    return materialize(u.evaluate, decay_like=u, label="direct")
+
+
+@pytest.mark.parametrize("A", PROXY_MATRICES, ids=["n=1", "n=3"])
+@pytest.mark.parametrize("f", [Exponential(1.0), GaussTail(1.0, 0.0), ShiftedGaussian(1.0, 0.0)],
+                         ids=["exp", "gauss_tail", "shifted_gaussian"])
+def test_proxied_quadform_mc_agrees_with_direct_route(f, A):
+    # Every case here is proxied except gauss_tail with n=3 at x=0.3, whose
+    # samples span ~240 units: it fails the check and takes the direct route.
+    u = solve_quadform(f, A, PROXY_CFG)
+    assert u.quadrature_valued
+    for x in (-1.0, 0.3):
+        est, se = forward_quadform_mc(u, A, x, PROXY_CFG)
+        want_est, want_se = forward_quadform_mc(_direct(u), A, x, PROXY_CFG)
+        assert abs(est / want_est - 1.0) <= 1e-9
+        assert abs(se / want_se - 1.0) <= 1e-9
+
+
+def _counting(u, marked):
+    """u, marked or not, recording the size of each evaluated batch."""
+    sizes = []
+
+    def evaluate(xs):
+        sizes.append(int(np.size(xs)))
+        return u.evaluate(xs)
+
+    counted = CallableFunction(evaluate, tail_bound=u.tail_bound, label="counted")
+    counted.quadrature_valued = marked
+    return counted, sizes
+
+
+def test_proxy_failing_its_check_falls_back_to_direct_values():
+    # A kink at -0.5, inside every sample span below: degree 128 cannot
+    # reach cfg.tol there.
+    kinked = CallableFunction(lambda x: np.exp(np.minimum(x, -0.5)),
+                              tail_bound=Exponential(1.0).tail_bound, label="kinked")
+    u, sizes = _counting(kinked, marked=True)
+    for A in PROXY_MATRICES:
+        for x in (-0.3, 0.3):
+            sizes.clear()
+            assert forward_quadform_mc(u, A, x, PROXY_CFG) == \
+                forward_quadform_mc(_direct(kinked), A, x, PROXY_CFG)
+            # Every sample again, in one batch, as on the direct route.
+            assert sizes[-1] == PROXY_CFG.mc_samples
+
+
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
+def test_proxy_bounds_evaluations_per_probe(marked):
+    A = PROXY_MATRICES[1]
+    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked)
+    for x in (-1.0, 0.3):
+        sizes.clear()
+        forward_quadform_mc(u, A, x, PROXY_CFG)
+        # The first evaluation is u(x) alone, which sets the box radius.
+        assert sizes[0] == 1
+        if marked:
+            assert sum(sizes[1:]) <= 129 + 256
+        else:
+            assert sum(sizes[1:]) == PROXY_CFG.mc_samples
+
+
+def test_error_on_proxy_nodes_keeps_its_class():
+    def evaluate(xs):
+        if np.size(xs) > 1:
+            raise ConvergenceError("no convergence")
+        return np.exp(xs)
+
+    u = CallableFunction(evaluate, tail_bound=Exponential(1.0).tail_bound, label="failing")
+    u.quadrature_valued = True
+    for route in (u, _direct(u)):
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            forward_quadform_mc(route, PROXY_MATRICES[1], 0.0, PROXY_CFG)

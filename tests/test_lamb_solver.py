@@ -199,6 +199,18 @@ def test_solve_quadform_examples():
     assert rel_error(u_full(xs), math.sqrt(3.0) * np.exp(xs) / math.pi) < 1e-13
 
 
+def test_fractional_order_solutions_are_marked_quadrature_valued():
+    f = Exponential(1.0)
+    assert not f.quadrature_valued
+    assert solve_classic(f, CFG).quadrature_valued
+    assert solve_ndim(f, 3, CFG).quadrature_valued
+    assert solve_power(f, 3, CFG).quadrature_valued
+    assert solve_quadform(f, PosDefMatrix([[2.0]]), CFG).quadrature_valued
+    assert not solve_ndim(f, 2, CFG).quadrature_valued
+    assert not solve_power(f, 1, CFG).quadrature_valued
+    assert not solve_quadform(f, PosDefMatrix.identity(2), CFG).quadrature_valued
+
+
 def test_quadform_scaling_law():
     xs = np.linspace(-1.0, 1.0, 5)
     f = Exponential(1.0)
