@@ -44,7 +44,8 @@ from .function_model import (
     materialize,
     sample,
 )
-from .lamb_solver import PosDefMatrix, ProblemSpec, solve_classic, solve_ndim, solve_power, solve_problem
+from .lamb_solver import (REQUIRED_DATUM, VARIANTS, PosDefMatrix, ProblemSpec, solve_classic,
+                          solve_ndim, solve_power, solve_problem)
 from .special_functions import beta, gamma, sphere_volume
 
 __all__ = ["main", "parse_function"]
@@ -131,8 +132,7 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def _add_common(p: argparse.ArgumentParser, with_grid: bool):
-    p.add_argument("--variant", required=True,
-                   choices=["classic", "symmetric_ndim", "power", "quadform"])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("-n", "--dimension", type=int, default=None,
                    help="ambient dimension (symmetric_ndim)")
     p.add_argument("-m", "--power", type=int, default=None, dest="m",
@@ -198,21 +198,16 @@ def _load_matrix(raw: str) -> PosDefMatrix:
     return PosDefMatrix(data)
 
 
+_DATUM_FLAGS = {"n": "-n/--dimension", "m": "-m/--power", "A": "--matrix"}
+
+
 def _spec_from_args(args) -> ProblemSpec:
-    variant = args.variant
-    if variant == "classic":
-        return ProblemSpec(variant="classic")
-    if variant == "symmetric_ndim":
-        if args.dimension is None:
-            raise DomainError("symmetric_ndim requires -n/--dimension")
-        return ProblemSpec(variant="symmetric_ndim", n=args.dimension)
-    if variant == "power":
-        if args.m is None:
-            raise DomainError("power requires -m/--power")
-        return ProblemSpec(variant="power", m=args.m)
-    if args.matrix is None:
-        raise DomainError("quadform requires --matrix")
-    return ProblemSpec(variant="quadform", A=_load_matrix(args.matrix))
+    data = {"n": args.dimension, "m": args.m,
+            "A": None if args.matrix is None else _load_matrix(args.matrix)}
+    needed = REQUIRED_DATUM.get(args.variant)
+    if needed is not None and data[needed] is None:
+        raise DomainError(f"{args.variant} requires {_DATUM_FLAGS[needed]}")
+    return ProblemSpec(variant=args.variant, **data)
 
 
 def _emit(text: str, path: str | None):
@@ -242,7 +237,7 @@ def _cmd_solve(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig
 
 
 def _cmd_forward(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfig) -> int:
-    image = materialize(np.vectorize(lambda x: forward(spec, f, x, cfg)[0], otypes=[float]),
+    image = materialize(lambda xs: forward(spec, f, xs, cfg)[0],
                         label=f"forward[{spec.variant}]({f.label})")
     grid = sample(image, args.window[0], args.window[1], args.count)
     _emit(_grid_payload(grid, args.format), args.output)
@@ -351,19 +346,16 @@ def _selftest_checks(cfg: QuadratureConfig):
     worst = 0.0
     for lam in (1.0, 2.0, 4.0):
         f = Exponential(lam)
-        u = solve_classic(f, cfg)
-        for x in probe:
-            got = forward_power(u, 2, float(x), cfg)
-            worst = max(worst, abs(got / f(float(x)) - 1.0))
+        got, _ = forward(ProblemSpec(variant="classic"), solve_classic(f, cfg), probe, cfg)
+        worst = max(worst, float(np.max(np.abs(got / f(probe) - 1.0))))
     yield "classic_round_trip", worst, 1e-6
 
     worst = 0.0
     for n in range(1, 7):
         for f in (Exponential(1.0), GaussTail(1.0, 0.0)):
-            u = solve_ndim(f, n, cfg)
-            for x in probe:
-                got = forward_radial(u, n, float(x), cfg)
-                worst = max(worst, abs(got / f(float(x)) - 1.0))
+            spec = ProblemSpec(variant="symmetric_ndim", n=n)
+            got, _ = forward(spec, solve_ndim(f, n, cfg), probe, cfg)
+            worst = max(worst, float(np.max(np.abs(got / f(probe) - 1.0))))
     yield "ndim_round_trip", worst, 1e-6
 
     f = Exponential(1.0)

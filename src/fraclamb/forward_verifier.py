@@ -2,14 +2,15 @@
 
 Solving is only half the job: every solution here is meant to be pushed
 back through the original integral operator and compared against the
-right-hand side. ``forward`` maps each equation variant to its forward
-evaluator, in this one place:
+right-hand side. ``forward(spec, u, xs, cfg)`` maps each equation variant
+to its forward evaluator, in this one place, one call per probe, so each
+value depends on its own point only:
 
-* ``forward_power``: the half-line integral int_0^inf u(x - y^m) dy, for
-  the classic (m = 2) and power variants;
-* ``forward_radial``: the polar-coordinate reduction of the full-space
-  integral, Vol(S^(n-1)) * int_0^inf r^(n-1) u(x - r^2) dr, exact up to
-  1-D quadrature in any dimension, for the symmetric n-dimensional variant;
+* every deterministic variant is one weighted power kernel,
+  w * int_0^inf y^alpha u(x - y^m) dy (``_forward_kernel``):
+  ``forward_power`` is (0, m, 1), for the classic (m = 2) and power
+  variants; ``forward_radial`` is (n - 1, 2, Vol(S^(n-1))), the exact
+  polar reduction of the full-space integral, for symmetric_ndim;
 * ``forward_quadform_mc``: Monte Carlo over a truncated box in Cartesian
   coordinates, up to n = 4, for the quadratic-form variant.
   ``forward_montecarlo`` is the same estimator with A = identity.
@@ -73,36 +74,32 @@ def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
     return max(float(x) - L, 1e-12)
 
 
-def forward_radial(u: SmoothFunction, n: int, x: float,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Vol(S^(n-1)) * int_0^inf r^(n-1) u(x - r^2) dr.
+def _forward_kernel(u: SmoothFunction, alpha: int, m: int, w: float, x: float,
+                    cfg: QuadratureConfig) -> float:
+    """w * int_0^inf y^alpha u(x - y^m) dy, truncated where u's tail dies.
 
-    The radial integrand is analytic in r for every integer n, so it is
-    integrated in the r variable directly; the equivalent s = r^2 form
-    would reintroduce a weak endpoint singularity for odd n.
+    Integrated in y: for integer alpha and m the integrand is analytic there,
+    while s = y^m would bring a weak endpoint singularity.
     """
-    n = check_dimension(n)
-    x = float(x)
-    R = math.sqrt(_decay_span(u, x, CUTOFF_EPSILON))
-    vol = sphere_volume(n)
-
-    def integrand(r):
-        return r ** (n - 1) * u.evaluate(x - r * r)
-
-    return vol * float(_quad.integrate_batch(integrand, np.array([R]), cfg)[0])
-
-
-def forward_power(u: SmoothFunction, m: int, x: float,
-                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """int_0^inf u(x - y^m) dy, truncated where u's tail dies."""
-    m = check_exponent(m)
     x = float(x)
     Y = _decay_span(u, x, CUTOFF_EPSILON) ** (1.0 / m)
 
     def integrand(y):
-        return u.evaluate(x - y ** m)
+        return y ** alpha * u.evaluate(x - y ** m)
 
-    return float(_quad.integrate_batch(integrand, np.array([Y]), cfg)[0])
+    return w * float(_quad.integrate_batch(integrand, np.array([Y]), cfg)[0])
+
+
+def forward_radial(u: SmoothFunction, n: int, x: float,
+                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Vol(S^(n-1)) * int_0^inf r^(n-1) u(x - r^2) dr."""
+    return _forward_kernel(u, check_dimension(n) - 1, 2, sphere_volume(n), x, cfg)
+
+
+def forward_power(u: SmoothFunction, m: int, x: float,
+                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """int_0^inf u(x - y^m) dy."""
+    return _forward_kernel(u, 0, check_exponent(m), 1.0, x, cfg)
 
 
 def _probe_rng(seed: int, x: float) -> np.random.Generator:
@@ -175,21 +172,26 @@ def forward_montecarlo(u: SmoothFunction, n: int, x: float,
     return forward_quadform_mc(u, PosDefMatrix.identity(check_dimension(n)), x, cfg)
 
 
-def forward(spec: ProblemSpec, u: SmoothFunction, x: float,
-            cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float | None]:
-    """Apply the forward operator of ``spec``'s equation to u at x.
+def forward(spec: ProblemSpec, u: SmoothFunction, xs,
+            cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply the forward operator of ``spec``'s equation to u at each probe.
 
-    Returns (value, standard_error). The standard error is None for the
-    deterministic quadrature routes; only the quadform variant, certified
-    by Monte Carlo, has one.
+    Returns (values, standard_errors) as 1-D arrays over the flattened xs.
+    The standard errors are None for the deterministic quadrature routes;
+    only the quadform variant, certified by Monte Carlo, has them. Every
+    value depends on its own probe point only.
     """
-    if spec.variant == "classic":
-        return forward_power(u, 2, x, cfg), None
-    if spec.variant == "power":
-        return forward_power(u, spec.m, x, cfg), None
+    xs = np.asarray(xs, dtype=float).ravel()
+    if spec.variant == "quadform":
+        values, std_errors = np.array(
+            [forward_quadform_mc(u, spec.A, x, cfg) for x in xs]).reshape(-1, 2).T
+        return values, std_errors
     if spec.variant == "symmetric_ndim":
-        return forward_radial(u, spec.n, x, cfg), None
-    return forward_quadform_mc(u, spec.A, x, cfg)
+        values = [forward_radial(u, spec.n, x, cfg) for x in xs]
+    else:
+        m = 2 if spec.variant == "classic" else spec.m
+        values = [forward_power(u, m, x, cfg) for x in xs]
+    return np.array(values, dtype=float), None
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +249,19 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
 
     u = solve_problem(spec, f, cfg)
     xs = a + np.arange(probes) * ((b - a) / (probes - 1))
-    f_vals = [float(f(x)) for x in xs]
-    pairs = [forward(spec, u, x, cfg) for x in xs]
-    forwards = [value for value, _ in pairs]
-    std_errors = [se for _, se in pairs]
-    if std_errors[0] is None:
-        std_errors = None
+    f_vals = np.asarray(f(xs), dtype=float)
+    forwards, std_errors = forward(spec, u, xs, cfg)
+    res = forwards - f_vals
+    denom = np.maximum(np.abs(f_vals), 1e-300 * np.max(np.abs(f_vals)))
+    rels = np.divide(np.abs(res), denom, out=np.where(res == 0.0, 0.0, math.inf),
+                     where=denom > 0.0)
 
-    f_max = max((abs(v) for v in f_vals), default=0.0)
-    rows = []
-    rels = []
-    for x, fx, fwd in zip(xs, f_vals, forwards):
-        res = fwd - fx
-        denom = max(abs(fx), 1e-300 * f_max)
-        if denom > 0.0:
-            rels.append(abs(res) / denom)
-        else:
-            rels.append(0.0 if res == 0.0 else math.inf)
-        rows.append((float(x), fx, fwd, res))
-
-    # np.max, unlike max(), lets a NaN residual through to the report.
+    # np.max lets a NaN residual through to the report.
     return ResidualReport(
         window=(a, b),
         probe_count=probes,
-        max_abs_residual=float(np.max([abs(row[3]) for row in rows])),
+        max_abs_residual=float(np.max(np.abs(res))),
         max_rel_residual=float(np.max(rels)),
-        rows=rows,
-        std_errors=std_errors,
+        rows=list(zip(xs.tolist(), f_vals.tolist(), forwards.tolist(), res.tolist())),
+        std_errors=None if std_errors is None else std_errors.tolist(),
     )

@@ -495,9 +495,12 @@ class GridFunction:
             raise DomainError("expected CSV header 'x,value'")
         xs, vs = [], []
         for line in rows[1:]:
-            sx, sv = line.split(",")
-            xs.append(float(sx))
-            vs.append(float(sv))
+            try:
+                sx, sv = line.split(",")
+                xs.append(float(sx))
+                vs.append(float(sv))
+            except ValueError:
+                raise DomainError(f"malformed CSV row {line!r}; expected 'x,value'") from None
         if len(xs) < 1:
             raise DomainError("empty grid")
         step = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else 1.0
@@ -519,9 +522,13 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":
-        obj = json.loads(text)
-        return cls(x_start=float(obj["x_start"]), x_step=float(obj["x_step"]),
-                   values=np.array(obj["values"], dtype=float))
+        try:
+            obj = json.loads(text)
+            fields = dict(x_start=float(obj["x_start"]), x_step=float(obj["x_step"]),
+                          values=np.array(obj["values"], dtype=float))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"malformed grid JSON ({type(exc).__name__}: {exc})") from None
+        return cls(**fields)
 
 
 def check_window(a: float, b: float) -> tuple[float, float]:

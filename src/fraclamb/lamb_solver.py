@@ -102,41 +102,42 @@ class PosDefMatrix:
         return f"PosDefMatrix(n={self.n}, det={self.det:g})"
 
 
-_VARIANTS = ("classic", "symmetric_ndim", "power", "quadform")
+VARIANTS = ("classic", "symmetric_ndim", "power", "quadform")
+# The ProblemSpec field each variant cannot do without.
+REQUIRED_DATUM = {"symmetric_ndim": "n", "power": "m", "quadform": "A"}
 
 
 def check_exponent(m) -> int:
-    """m as an int; DomainError unless m is given and is an integer >= 1."""
-    if m is None:
-        raise DomainError("power exponent must be >= 1, got None")
+    """m as an int; DomainError unless m is an integer >= 1."""
     return check_positive_integer("power exponent", m)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Which equation to solve: variant plus its variant-specific data."""
+    """Which equation to solve: a variant and exactly the data it takes. n
+    is implied (1, or A.n for quadform) but for symmetric_ndim."""
 
     variant: str
-    n: int = 1
+    n: int | None = None
     m: int | None = None
     A: PosDefMatrix | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}; expected one of {_VARIANTS}")
-        if self.variant == "quadform":
-            if self.A is None:
-                raise DomainError("quadform requires a matrix A")
-            object.__setattr__(self, "n", self.A.n)
-        elif self.A is not None:
+        if self.variant not in VARIANTS:
+            raise DomainError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        needed = REQUIRED_DATUM.get(self.variant)
+        if needed is not None and getattr(self, needed) is None:
+            raise DomainError(f"{self.variant} requires {needed}")
+        if self.A is not None and self.variant != "quadform":
             raise DomainError(f"variant {self.variant!r} does not take a matrix")
+        if self.m is not None and self.variant != "power":
+            raise DomainError(f"variant {self.variant!r} does not take an exponent m")
         if self.variant == "power":
             object.__setattr__(self, "m", check_exponent(self.m))
-        elif self.m is not None:
-            raise DomainError(f"variant {self.variant!r} does not take an exponent m")
-        if self.variant in ("classic", "power") and self.n != 1:
-            raise DomainError(f"variant {self.variant!r} is one-dimensional (n=1)")
-        object.__setattr__(self, "n", check_dimension(self.n))
+        implied_n = self.A.n if self.variant == "quadform" else 1
+        if self.variant != "symmetric_ndim" and self.n not in (None, implied_n):
+            raise DomainError(f"variant {self.variant!r} has n = {implied_n}, got n = {self.n}")
+        object.__setattr__(self, "n", check_dimension(implied_n if self.n is None else self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,8 @@ def solve_power(f: SmoothFunction, m: int, cfg: QuadratureConfig = DEFAULT_CONFI
     """u = D^(1/m) f / Gamma(1 + 1/m) for the half-line power equation.
 
     m = 2 reproduces solve_classic (Gamma(3/2)^(-1) = 2/sqrt(pi)); m = 1
-    degenerates to u = f'. The formula is certified by the forward_power
-    residual in the verification suite.
+    degenerates to u = f'. It is certified by the residual of forward_power,
+    the forward kernel w int_0^inf y^alpha u(x - y^m) dy at alpha=0, w=1.
     """
     m = check_exponent(m)
     return _solution(f, 1.0 / m, 1.0 / gamma(1.0 + 1.0 / m), f"u_power[m={m}]({f.label})", cfg)

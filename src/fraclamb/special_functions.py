@@ -14,6 +14,7 @@ approximation error beyond rounding.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .errors import DomainError
 
@@ -41,18 +42,22 @@ def beta(p: float, q: float) -> float:
     return gamma(p) * gamma(q) / gamma(p + q)
 
 
-def check_positive_integer(name: str, value) -> int:
-    """value as an int; DomainError unless it is an integer >= 1.
+def check_integer(name: str, value) -> int:
+    """value as an int; DomainError unless it is integral.
 
     An integral float such as 2.0 passes; 2.5 is refused, never truncated.
     """
     try:
-        integral = float(value).is_integer()
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
     except (TypeError, ValueError):
-        integral = False
-    if not integral:
-        raise DomainError(f"{name} must be an integer, got {value}")
-    value = int(value)
+        pass
+    raise DomainError(f"{name} must be an integer, got {value}")
+
+
+def check_positive_integer(name: str, value) -> int:
+    """value as an int; DomainError unless it is an integer >= 1."""
+    value = check_integer(name, value)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
     return value

@@ -142,7 +142,7 @@ def test_forward_command_values(variant_args, spec, factor):
     grid = GridFunction.from_csv(result.stdout)
     assert np.array_equal(grid.nodes, np.array([0.0, 0.5, 1.0]))
     cfg = QuadratureConfig(mc_samples=1000)
-    want = [forward(spec, Exponential(1.0), float(x), cfg)[0] for x in grid.nodes]
+    want = forward(spec, Exponential(1.0), grid.nodes, cfg)[0]
     assert np.array_equal(grid.values, want)
     if factor is not None:
         # Forward of e^x through each half-line or radial operator is a
@@ -246,7 +246,8 @@ def test_verify_fails_on_nan_residuals(monkeypatch, tmp_path, capsys):
 
 def test_verify_fails_on_nan_standard_error(monkeypatch, tmp_path, capsys):
     f = Exponential(1.0)
-    monkeypatch.setattr(forward_verifier, "forward", lambda spec, u, x, cfg: (f(x), math.nan))
+    monkeypatch.setattr(forward_verifier, "forward",
+                        lambda spec, u, xs, cfg: (f(xs), np.full(len(xs), math.nan)))
     assert main(_quadform_verify(tmp_path)) == 1
     assert "FAIL" in capsys.readouterr().err
 
@@ -305,6 +306,27 @@ def test_non_finite_grid_value_exits_three(argv, label, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical error: {label}: non-finite value inf at x = 712\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--variant", "classic", "-n", "3", "-m", "4", "--matrix", "2", "--count", "3"],
+     "error: variant 'classic' does not take a matrix\n"),
+    (["solve", "--variant", "quadform", "--matrix", "2", "-n", "3"],
+     "error: variant 'quadform' has n = 1, got n = 3\n"),
+    (["verify", "--variant", "symmetric_ndim", "-n", "2", "--matrix", "2"],
+     "error: variant 'symmetric_ndim' does not take a matrix\n"),
+    (["solve", "--variant", "symmetric_ndim"], "error: symmetric_ndim requires -n/--dimension\n"),
+    (["solve", "--variant", "power"], "error: power requires -m/--power\n"),
+    (["verify", "--variant", "quadform"], "error: quadform requires --matrix\n"),
+], ids=["classic_stray_data", "quadform_wrong_n", "ndim_stray_matrix",
+        "ndim_missing_n", "power_missing_m", "quadform_missing_matrix"])
+def test_variant_data_mismatch_exits_two(argv, message, capsys):
+    # Data the variant does not take is refused, never silently dropped; a
+    # missing datum names its flag.
+    assert main([*argv, "--function", "exp", "--window", "0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "inf"])

@@ -23,6 +23,10 @@ from fraclamb import (
     forward_quadform_mc,
     forward_radial,
     materialize,
+    solve_classic,
+    solve_ndim,
+    solve_power,
+    solve_problem,
     solve_quadform,
     sphere_volume,
     verify,
@@ -48,6 +52,19 @@ class TestQuadratureConfig:
             QuadratureConfig(tol=0.0)
         with pytest.raises(DomainError):
             QuadratureConfig(mc_samples=10)
+
+    @pytest.mark.parametrize("field", ["mc_samples", "mc_seed"])
+    def test_refuses_non_integral_counts(self, field):
+        with pytest.raises(DomainError, match=rf"^{field} must be an integer, got 5000.5$"):
+            QuadratureConfig(**{field: 5000.5})
+
+    def test_stores_integral_floats_as_int(self):
+        cfg = QuadratureConfig(mc_samples=5000.0, mc_seed=7.0)
+        assert (cfg.mc_samples, cfg.mc_seed) == (5000, 7)
+        assert type(cfg.mc_samples) is int and type(cfg.mc_seed) is int
+        f = Exponential(1.0)
+        assert forward_montecarlo(f, 2, 0.0, cfg) == \
+            forward_montecarlo(f, 2, 0.0, QuadratureConfig(mc_samples=5000, mc_seed=7))
 
 
 def test_forward_radial_examples():
@@ -215,6 +232,43 @@ def test_forward_has_standard_error_only_for_quadform():
         assert value > 0.0
     spec = ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0]]))
     assert forward(spec, f, 0.0, cfg) == forward_quadform_mc(f, spec.A, 0.0, cfg)
+
+
+@pytest.mark.parametrize("spec, cfg", [
+    (ProblemSpec(variant="classic"), CFG),
+    (ProblemSpec(variant="power", m=3), CFG),
+    (ProblemSpec(variant="symmetric_ndim", n=3), CFG),
+    (ProblemSpec(variant="quadform", A=PosDefMatrix([[2.0, 1.0], [1.0, 2.0]])),
+     QuadratureConfig(mc_samples=1000)),
+], ids=["classic", "power_m3", "ndim_n3", "quadform"])
+def test_forward_values_depend_on_their_own_probe_only(spec, cfg):
+    # A vector call equals per-point calls bit for bit, and a value stays
+    # the same when the rest of its probe array changes.
+    u = solve_problem(spec, ShiftedGaussian(1.0, 0.0), cfg)
+    xs = np.linspace(-1.0, 1.0, 7)
+    values, std_errors = forward(spec, u, xs, cfg)
+    singles = [forward(spec, u, np.array([x]), cfg) for x in xs]
+    assert np.array_equal(values, [v[0] for v, _ in singles])
+    every_other, every_other_se = forward(spec, u, xs[::2], cfg)
+    assert np.array_equal(every_other, values[::2])
+    if spec.variant == "quadform":
+        assert np.array_equal(std_errors, [se[0] for _, se in singles])
+        assert np.array_equal(every_other_se, std_errors[::2])
+    else:
+        assert std_errors is None and all(se is None for _, se in singles)
+
+
+@pytest.mark.parametrize("solve, alpha, m, w", [
+    (lambda f: solve_classic(f, CFG), 0, 2, 1.0),
+    *[(lambda f, m=m: solve_power(f, m, CFG), 0, m, 1.0) for m in (1, 3, 4)],
+    *[(lambda f, n=n: solve_ndim(f, n, CFG), n - 1, 2, sphere_volume(n)) for n in (1, 2, 3, 5)],
+], ids=["classic", "power_m1", "power_m3", "power_m4", "ndim_n1", "ndim_n2", "ndim_n3", "ndim_n5"])
+def test_solver_constant_inverts_kernel_weight(solve, alpha, m, w):
+    # The forward kernel w int_0^inf y^alpha e^(x - y^m) dy is
+    # w Gamma((alpha + 1)/m) / m times e^x, and u = c D^nu e^x = c e^x, so
+    # the closed-form solver constant c must invert it.
+    c = float(solve(Exponential(1.0))(0.0))
+    assert c * w * gamma((alpha + 1) / m) / m == pytest.approx(1.0, rel=1e-8)
 
 
 def test_verify_validation():

@@ -291,6 +291,21 @@ def test_grid_function_json_round_trip():
     assert (back.x_start, back.x_step) == (grid.x_start, grid.x_step)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (GridFunction.from_csv, "x,value\n0,1,2\n"),
+    (GridFunction.from_csv, "x,value\n0\n"),
+    (GridFunction.from_csv, "x,value\n0,abc\n"),
+    (GridFunction.from_json, '{"x_start": 0}'),
+    (GridFunction.from_json, "[1, 2]"),
+    (GridFunction.from_json, "{"),
+    (GridFunction.from_json, '{"x_start": 0, "x_step": 1, "values": [[1], [2, 3]]}'),
+], ids=["csv_three_fields", "csv_one_field", "csv_not_a_number", "json_missing_key",
+        "json_not_an_object", "json_not_json", "json_ragged_values"])
+def test_malformed_grid_text_raises_domain_error(parse, text):
+    with pytest.raises(DomainError):
+        parse(text)
+
+
 def test_linear_combination_and_zero():
     f = Exponential(1.0)
     g = ShiftedGaussian(1.0, 0.0)
