@@ -40,7 +40,7 @@ from .errors import DimensionCapError, DomainError
 from .function_model import (CUTOFF_EPSILON, SmoothFunction, check_finite, check_window,
                              effective_lower_cutoff)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
-from .special_functions import check_dimension, sphere_volume
+from .special_functions import check_dimension, check_integer, sphere_volume
 
 __all__ = [
     "QuadratureConfig",
@@ -243,7 +243,7 @@ def verify(spec: ProblemSpec, f: SmoothFunction, window, probes: int,
     makes both maxima NaN.
     """
     a, b = check_window(*window)
-    probes = int(probes)
+    probes = check_integer("probes", probes)
     if probes < 3:
         raise DomainError(f"need at least 3 probes, got {probes}")
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, UnsupportedOrderError
-from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction,
+from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction, _inherit_decay,
                              _restore_shape, check_finite, effective_lower_cutoff)
 from .special_functions import gamma
 
@@ -134,14 +134,13 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
         raise UnsupportedOrderError(
             f"{f.label}: needs derivative order {k}, has {f.derivative_order}"
         )
-    tail = f.tail_bound if f.has_decay else None
-    return CallableFunction(
+    view = CallableFunction(
         lambda x: np.asarray(f.derivative(k, x), dtype=float),
         derivative=lambda j, x: f.derivative(k + j, x),
         derivative_order=max(f.derivative_order - k, 0),
-        tail_bound=tail,
         label=f"D^{k}[{f.label}]",
     )
+    return _inherit_decay(view, f, value_bound=False) if f.has_decay else view
 
 
 def frac_derivative(f: SmoothFunction, nu: float, x,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FracLambError, NoDecayError, UnsupportedOrderError
+from .special_functions import check_integer
 
 __all__ = [
     "BUILTIN_ORDER",
@@ -46,6 +47,8 @@ CUTOFF_EPSILON = 1e-12
 # Analytic derivative order of the built-in family: symmetric_ndim needs
 # f^(n/2) for even n, f^((n+1)/2) for odd n, so it reaches n <= 16 or 15.
 BUILTIN_ORDER = 8
+
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _restore_shape(x, result):
@@ -113,6 +116,12 @@ class SmoothFunction:
         """Upper bound on |f| alone left of L; defaults to tail_bound."""
         return self.tail_bound(L)
 
+    def _cutoff_guess(self, log_eps: float, value_only: bool):
+        """Where the bound crosses e^log_eps, from a closed-form inverse, or
+        None without one. effective_lower_cutoff keeps a guess only after
+        checking it against the bound itself."""
+        return None
+
     def __repr__(self):
         return f"<SmoothFunction {self.label}>"
 
@@ -168,7 +177,20 @@ def _finite(name: str, value, positive: bool = False) -> float:
     return value
 
 
-class Exponential(SmoothFunction):
+class _ExponentialTail(SmoothFunction):
+    """Tail bounds C e^(lam L) (C = _tail_constant) and e^(lam L) for |f|."""
+
+    def tail_bound(self, L):
+        return self._tail_constant * math.exp(self.lam * L)
+
+    def value_tail_bound(self, L):
+        return math.exp(self.lam * L)
+
+    def _cutoff_guess(self, log_eps, value_only):
+        return (log_eps - (0.0 if value_only else math.log(self._tail_constant))) / self.lam
+
+
+class Exponential(_ExponentialTail):
     """x -> exp(lam * x), lam > 0. Eigenfunction of every operator here."""
 
     derivative_order = BUILTIN_ORDER
@@ -188,13 +210,6 @@ class Exponential(SmoothFunction):
         # sup over k <= K+1 of lam^k; raises OverflowError for a huge lam,
         # which effective_lower_cutoff reads as an infinite bound.
         return max(1.0, self.lam) ** (self.derivative_order + 1)
-
-    def tail_bound(self, L):
-        # sup over k <= K+1 of lam^k e^(lam xi), xi <= L
-        return self._tail_constant * math.exp(self.lam * L)
-
-    def value_tail_bound(self, L):
-        return math.exp(self.lam * L)
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +234,7 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-class GaussTail(SmoothFunction):
+class GaussTail(_ExponentialTail):
     """x -> exp(lam x) / (1 + exp(lam (x - c))): exponential growth saturating
     near x = c, with clean exponential decay (all derivatives) toward -inf.
 
@@ -249,19 +264,13 @@ class GaussTail(SmoothFunction):
 
     @functools.cached_property
     def _tail_constant(self):
-        # max over k <= K+1 of C_k lam^k, with C_k = sum|coeffs of P_k|.
+        # max over k <= K+1 of C_k lam^k, with C_k = sum|coeffs of P_k|:
+        # |P_k(s)| <= s * sum|coeffs| on [0,1] since P_k(0) = 0, and
+        # sigmoid(t) <= e^t, so each derivative is <= C_k lam^k e^(lam xi).
         return max(
             self.lam ** k * float(np.abs(_logistic_poly(k)).sum())
             for k in range(self.derivative_order + 2)
         )
-
-    def tail_bound(self, L):
-        # |P_k(s)| <= s * sum|coeffs| on [0,1] since P_k(0) = 0,
-        # and sigmoid(t) <= e^t, so each derivative is <= C_k lam^k e^(lam xi).
-        return self._tail_constant * math.exp(self.lam * L)
-
-    def value_tail_bound(self, L):
-        return math.exp(self.lam * L)
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,6 +316,12 @@ class ShiftedGaussian(SmoothFunction):
             terms.append((k, peak, self.sigma ** (-k) * hk, flat))
         return tuple(terms)
 
+    @functools.cached_property
+    def _log_tail_terms(self):
+        """(k, peak_k, log scale_k, log envelope_k) for _cutoff_guess."""
+        return tuple((k, peak, math.log(scale) if scale else -math.inf, math.log(flat))
+                     for k, peak, scale, flat in self._tail_terms)
+
     def tail_bound(self, L):
         t = (float(L) - self.c) / self.sigma
         gauss = math.exp(-0.5 * t * t)
@@ -319,6 +334,31 @@ class ShiftedGaussian(SmoothFunction):
     def value_tail_bound(self, L):
         t = (float(L) - self.c) / self.sigma
         return math.exp(-0.5 * t * t) if t < 0 else 1.0
+
+    def _cutoff_guess(self, log_eps, value_only):
+        # In s = -t the value bound crosses eps at s^2/2 = -log eps. Term k
+        # crosses it where h_k(s) = s^2/2 - k log s - R_k = 0, with
+        # R_k = log scale_k - log eps, or at its jump s = peak_k if
+        # h_k(peak_k) >= 0; the bound crosses at the largest of these, so a
+        # term is solved only if it still exceeds eps there. h_k is convex
+        # right of peak_k: Newton converges once its first step overshoots.
+        if value_only:
+            return self.c - self.sigma * math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else None
+        s = 0.0
+        for k, peak, log_scale, log_flat in reversed(self._log_tail_terms):
+            R = log_scale - log_eps
+            if (0.5 * s * s - k * math.log(s) >= R) if s >= peak else (log_flat <= -R):
+                continue  # term k is within eps left of s
+            s = peak
+            if 0.5 * s * s - k * math.log(s) < R:
+                s = math.sqrt(max(2.0 * R, peak * peak)) + 1.0
+                for _ in range(6):
+                    s -= (0.5 * s * s - k * math.log(s) - R) / (s - k / s)
+        # Where e^(-s^2/2) is subnormal the bound steps in units far wider
+        # than an ulp of L and need not be monotone.
+        if s == 0.0 or math.exp(-0.5 * s * s) < _TINY:
+            return None
+        return self.c - self.sigma * s
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +410,24 @@ def materialize(func, decay_like=None, decay_scale=1.0,
     ``decay_scale``); used when composing operators whose outputs provably
     decay like their inputs.
     """
-    tail = None
-    vtail = None
-    if decay_like is not None:
-        tail = lambda L: decay_scale * decay_like.tail_bound(L)
-        vtail = lambda L: decay_scale * decay_like.value_tail_bound(L)
-    return CallableFunction(
-        lambda x: np.asarray(func(x), dtype=float),
-        tail_bound=tail, value_tail_bound=vtail, label=label,
-    )
+    g = CallableFunction(lambda x: np.asarray(func(x), dtype=float), label=label)
+    return g if decay_like is None else _inherit_decay(g, decay_like, decay_scale)
+
+
+def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
+                   value_bound: bool = True) -> CallableFunction:
+    """Give g the tail bound scale * parent.tail_bound, and as value bound
+    scale * parent.value_tail_bound, or with ``value_bound`` False the tail
+    bound itself. Since scale * bound <= eps where bound <= eps / scale, g's
+    cutoff guess is parent's at eps / scale, i.e. at log eps - log scale."""
+    g._tail_bound = lambda L: scale * parent.tail_bound(L)
+    if value_bound:
+        g._value_tail_bound = lambda L: scale * parent.value_tail_bound(L)
+    if scale > 0.0:
+        log_scale = math.log(scale)
+        g._cutoff_guess = lambda log_eps, value_only: parent._cutoff_guess(
+            log_eps - log_scale, value_only and value_bound)
+    return g
 
 
 def zero_function() -> CallableFunction:
@@ -404,6 +453,14 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
     narrows the bracket for at most 60 steps, stopping early once it is one
     ulp wide. A bound that never exceeds epsilon on [0, 2^63] gives L = 2^63.
 
+    The built-ins, and the wrappers that scale their bounds, invert the
+    bound in closed form. A guess G in [-2^58, -2] is taken in place of the
+    search only where it is the search's own answer: the doubling bracket
+    [-2^(j+1), -2^j] holding G must hold the crossing, and after at most
+    three one-ulp nudges bound(G) <= epsilon < bound(nextafter(G, +inf)).
+    Any other guess, an overflow while guessing, and every function
+    without an inverse take the search above.
+
     ``value_only`` uses the bound on |f| alone (enough for integrals of f
     itself, giving tighter boxes than the all-derivatives bound). A bound
     that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
@@ -423,6 +480,27 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
             return raw_bound(L)
         except OverflowError:
             return math.inf
+
+    try:
+        guess = f._cutoff_guess(math.log(epsilon), value_only)
+    except OverflowError:
+        guess = None
+    if guess is not None and -2.0 ** 58 <= guess <= -2.0:
+        # The bracket the doubling walk stops at: 2^j < -guess <= 2^(j+1).
+        m, e = math.frexp(-guess)
+        lo = -math.ldexp(1.0, e - 1 if m == 0.5 else e)
+        if bound(lo) <= epsilon < bound(0.5 * lo):
+            up = math.nextafter(guess, math.inf)
+            at, above = bound(guess), bound(up)
+            for _ in range(3):
+                if at > epsilon:
+                    guess, up, above = math.nextafter(guess, -math.inf), guess, at
+                    at = bound(guess)
+                elif above <= epsilon:
+                    guess, at, up = up, above, math.nextafter(up, math.inf)
+                    above = bound(up)
+            if at <= epsilon < above:
+                return guess
 
     # Bracket [lo, hi] with bound(lo) <= epsilon < bound(hi); the bound is
     # monotone non-decreasing in L.
@@ -552,11 +630,11 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
 
     Raises:
-        DomainError: a >= b, the width b - a overflows, or count < 2.
+        DomainError: a >= b, the width b - a overflows, or count is not an integer >= 2.
         FracLambError: a sampled value is not finite.
     """
     a, b = check_window(a, b)
-    count = int(count)
+    count = check_integer("count", count)
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     step = (b - a) / (count - 1)

@@ -34,7 +34,7 @@ import numpy as np
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, NotPositiveDefiniteError
 from .fractional_ops import derivative_view, split_order, _weyl_batch
-from .function_model import CallableFunction, SmoothFunction
+from .function_model import CallableFunction, SmoothFunction, _inherit_decay
 from .special_functions import check_dimension, check_positive_integer, gamma
 
 __all__ = [
@@ -159,10 +159,9 @@ def _solution(f: SmoothFunction, nu: float, const: float, label: str,
         evaluate = lambda xs: const * fk.evaluate(xs)
     else:
         evaluate = lambda xs: const * _weyl_batch(fk, mu, xs, cfg)
-    tail = None
+    u = CallableFunction(evaluate, derivative_order=0, label=label)
     if f.has_decay:
-        tail = lambda L: _TAIL_MARGIN * abs(const) * f.tail_bound(L)
-    u = CallableFunction(evaluate, derivative_order=0, tail_bound=tail, label=label)
+        _inherit_decay(u, f, _TAIL_MARGIN * abs(const), value_bound=False)
     u.quadrature_valued = mu != 0.0
     return u
 

@@ -23,6 +23,7 @@ from fraclamb import (
     forward_quadform_mc,
     forward_radial,
     materialize,
+    sample,
     solve_classic,
     solve_ndim,
     solve_power,
@@ -279,6 +280,25 @@ def test_verify_validation():
         verify(ProblemSpec(variant="classic"), f, (-1.0, 1.0), 2, CFG)
     with pytest.raises(DomainError, match="width"):  # b - a overflows
         verify(ProblemSpec(variant="classic"), f, (-1e308, 1e308), 5, CFG)
+
+
+@pytest.mark.parametrize("call, count, accepted", [
+    ("verify", 5.9, False), ("verify", 5.0, True),
+    ("sample", 4.7, False), ("sample", 4.0, True),
+])
+def test_counts_are_refused_unless_integral(call, count, accepted):
+    # A non-integral count is refused, never truncated, as n, m and the
+    # Monte Carlo counts are.
+    f = Exponential(1.0)
+    run = {
+        "verify": lambda: verify(ProblemSpec(variant="classic"), f, (-1.0, 1.0), count, CFG).probe_count,
+        "sample": lambda: sample(f, -1.0, 1.0, count).values.size,
+    }[call]
+    if accepted:
+        assert run() == count
+    else:
+        with pytest.raises(DomainError, match="must be an integer"):
+            run()
 
 
 def test_report_serialization_formats():

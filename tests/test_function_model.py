@@ -11,16 +11,20 @@ from fraclamb import (
     GaussTail,
     GridFunction,
     NoDecayError,
+    PosDefMatrix,
+    ProblemSpec,
     ShiftedGaussian,
     UnsupportedOrderError,
     effective_lower_cutoff,
     linear_combination,
     materialize,
     sample,
+    solve_problem,
     zero_function,
 )
 from fraclamb.fractional_ops import derivative_view
 from fraclamb.function_model import BUILTIN_ORDER, _hermite_coeffs, _logistic_poly
+from fraclamb.special_functions import gamma
 from conftest import rel_error
 
 
@@ -182,6 +186,8 @@ def _full_bisection(f, epsilon, value_only):
             hi = lo
             lo -= step
             step *= 2.0
+            if step > 2.0 ** 60:
+                raise NoDecayError(f"{f.label}: tail bound never fell below {epsilon}")
     else:
         lo, hi = 0.0, 1.0
         for _ in range(64):
@@ -200,17 +206,104 @@ def _full_bisection(f, epsilon, value_only):
     return lo
 
 
+def _outcome(cutoff, f, eps, value_only):
+    try:
+        return cutoff(f, eps, value_only)
+    except NoDecayError as exc:
+        return type(exc), str(exc)
+
+
+# Each built-in's solution under the four variants, with the constant c of
+# u = c D^nu f that its tail bound 4 |c| tail_bound(f) is scaled by.
+_A = PosDefMatrix([[2.0, 0.5], [0.5, 1.0]])
+_SOLUTIONS = [
+    (ProblemSpec(variant="classic"), 2.0 / math.sqrt(math.pi)),
+    (ProblemSpec(variant="symmetric_ndim", n=3), math.pi ** -1.5),
+    (ProblemSpec(variant="power", m=3), 1.0 / gamma(1.0 + 1.0 / 3)),
+    (ProblemSpec(variant="quadform", A=_A), math.sqrt(_A.det) * math.pi ** -1.0),
+]
+
+
+def _wrappers(f):
+    """(wrapper, its tail bound, its value bound) for each wrapper that
+    scales f's bounds, the two bounds as the formulas they stand for."""
+    out = [(derivative_view(f, k), f.tail_bound, f.tail_bound) for k in (1, 3)]
+    for spec, c in _SOLUTIONS:
+        scaled = lambda L, c=c: 4.0 * abs(c) * f.tail_bound(L)
+        out.append((solve_problem(spec, f), scaled, scaled))
+    out.append((materialize(f, decay_like=f, decay_scale=4.0),
+                lambda L: 4.0 * f.tail_bound(L), lambda L: 4.0 * f.value_tail_bound(L)))
+    return out
+
+
 def test_effective_lower_cutoff_matches_full_bisection(family):
-    functions = family + [
+    bases = family + [
         Exponential(1e-3), GaussTail(0.5, -1.0), ShiftedGaussian(0.5, 1.0),
         ShiftedGaussian(1e-3, 0.2),
+    ]
+    functions = bases + [w for f in bases for w, _, _ in _wrappers(f)] + [
         linear_combination([2.0, -0.5], [GaussTail(2.0, 0.7), ShiftedGaussian(2.0, -0.3)]),
+        # No decay before 2^60, an overflowing constant, and sigma^(-k)
+        # overflowing or underflowing.
+        Exponential(1e-17), GaussTail(1e300), ShiftedGaussian(1e-200), ShiftedGaussian(1e150),
     ]
     for f in functions:
         for eps in (1e3, 1.0, 1e-3, 1e-8, 1e-12, 1e-30, 1e-300):
             for value_only in (False, True):
-                assert effective_lower_cutoff(f, eps, value_only) == \
-                    _full_bisection(f, eps, value_only)
+                assert _outcome(effective_lower_cutoff, f, eps, value_only) == \
+                    _outcome(_full_bisection, f, eps, value_only)
+
+
+def test_wrapper_bounds_match_their_formulas(family):
+    grid = [*np.linspace(-800.0, 50.0, 171), -1e-300, 0.0, 1e-300]
+    for f in family + [GaussTail(0.5, -1.0), ShiftedGaussian(0.5, 1.0)]:
+        for g, tail, value in _wrappers(f):
+            for L in grid:
+                assert g.tail_bound(L) == tail(L), (g.label, L)
+                assert g.value_tail_bound(L) == value(L), (g.label, L)
+
+
+def _counted(f):
+    """f whose tail_bound and value_tail_bound calls are counted in f.calls."""
+    f.calls = 0
+    for name in ("tail_bound", "value_tail_bound"):
+        def counted(L, bound=getattr(f, name)):
+            f.calls += 1
+            return bound(L)
+        setattr(f, name, counted)
+    return f
+
+
+def test_effective_lower_cutoff_inverts_builtin_bounds_in_closed_form():
+    # Wherever the doubling walk would stop in [-2^58, -2], the closed-form
+    # guess stands in for it: a call costs a handful of bound evaluations,
+    # not the ~59 of the walk and bisection. Excluded: cutoffs where the
+    # bound's exponential factor (the value bound) is subnormal, whose float
+    # steps are far wider than an ulp of L, so the search runs there.
+    tiny = np.finfo(float).tiny
+    fast = 0
+    for base in (Exponential(1.0), Exponential(2.0), Exponential(1e-3), GaussTail(1.0, 0.0),
+                 GaussTail(0.5, -1.0), ShiftedGaussian(1.0, 0.0), ShiftedGaussian(0.5, 1.0)):
+        f = _counted(base)
+        views = [f, derivative_view(f, 1), derivative_view(f, 3)]
+        views += [solve_problem(spec, f) for spec, _ in _SOLUTIONS]
+        for g in views:
+            for eps in 10.0 ** -np.arange(8, 301):
+                for value_only in (False, True):
+                    f.calls = 0
+                    L = effective_lower_cutoff(g, eps, value_only)
+                    calls = f.calls
+                    if -2.0 ** 58 <= L <= -2.0 and base.value_tail_bound(L) >= tiny:
+                        assert calls <= 8, (g.label, eps, value_only, calls)
+                        fast += 1
+    assert fast > 10000
+    # Without a closed form, linear_combination keeps the search.
+    term = _counted(GaussTail(2.0, 0.7))
+    combo = linear_combination([2.0, -0.5], [term, ShiftedGaussian(2.0, -0.3)])
+    for eps in (1e-8, 1e-12, 1e-30):
+        term.calls = 0
+        assert effective_lower_cutoff(combo, eps) == _full_bisection(combo, eps, False)
+        assert term.calls > 2 * 52  # this call's and the reference's bisections
 
 
 def test_tail_bounds_cover_every_derivative():
