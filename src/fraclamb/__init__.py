@@ -35,10 +35,8 @@ from .function_model import (
     ShiftedGaussian,
     SmoothFunction,
     effective_lower_cutoff,
-    linear_combination,
     materialize,
     sample,
-    zero_function,
 )
 from .lamb_solver import (
     PosDefMatrix,
@@ -49,7 +47,7 @@ from .lamb_solver import (
     solve_problem,
     solve_quadform,
 )
-from .special_functions import beta, gamma, sphere_volume
+from .special_functions import gamma, sphere_volume
 
 __version__ = "0.1.0"
 
@@ -72,9 +70,7 @@ __all__ = [
     "GridFunction",
     "effective_lower_cutoff",
     "sample",
-    "linear_combination",
     "materialize",
-    "zero_function",
     "split_order",
     "weyl_integral",
     "frac_derivative",
@@ -93,7 +89,6 @@ __all__ = [
     "forward",
     "verify",
     "gamma",
-    "beta",
     "sphere_volume",
     "__version__",
 ]

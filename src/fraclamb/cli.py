@@ -45,8 +45,8 @@ from .function_model import (
     sample,
 )
 from .lamb_solver import (REQUIRED_DATUM, VARIANTS, PosDefMatrix, ProblemSpec, solve_classic,
-                          solve_ndim, solve_power, solve_problem)
-from .special_functions import beta, gamma, sphere_volume
+                          solve_ndim, solve_power, solve_problem, solve_quadform)
+from .special_functions import gamma, sphere_volume
 
 __all__ = ["main", "parse_function"]
 
@@ -277,18 +277,6 @@ def _cmd_verify(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfi
 def _selftest_checks(cfg: QuadratureConfig):
     """Yield (name, observed, limit) triples; a check passes when
     observed < limit. Everything is deterministic for a fixed cfg."""
-    sqrt_pi = math.sqrt(math.pi)
-
-    yield "gamma_half_squared_is_pi", abs(gamma(0.5) ** 2 / math.pi - 1.0), 1e-13
-    yield "gamma_at_one", abs(gamma(1.0) - 1.0), 1e-13
-
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.mc_seed, 1], dtype=np.uint64)))
-    ps = rng.uniform(0.5, 20.0, 200)
-    rec = max(abs(gamma(p + 1.0) / (p * gamma(p)) - 1.0) for p in ps)
-    yield "gamma_recurrence", rec, 1e-12
-    sym = max(abs(beta(p, q) / beta(q, p) - 1.0) for p, q in zip(ps[:100], ps[100:]))
-    yield "beta_symmetry", sym, 1e-13
-
     sph = max(
         abs(sphere_volume(n) * 0.5 * gamma(n / 2.0) / math.pi ** (n / 2.0) - 1.0)
         for n in range(1, 13)
@@ -382,7 +370,6 @@ def _selftest_checks(cfg: QuadratureConfig):
     u1 = solve_ndim(f, 1, cfg)
     yield "classic_is_twice_ndim_one", float(np.max(np.abs(uc(probe) / (2.0 * u1(probe)) - 1.0))), 1e-9
 
-    from .lamb_solver import solve_quadform
     A = PosDefMatrix([[2.0, 1.0], [1.0, 2.0]])
     uA = solve_quadform(f, A, cfg)
     worst = 0.0
@@ -404,15 +391,6 @@ def _selftest_checks(cfg: QuadratureConfig):
 
     est2, se2 = forward_quadform_mc(uA, A, 0.0, cfg)
     yield "mc_determinism", abs(est - est2) + abs(se - se2), 1e-300
-
-    grid = sample(f, -1.0, 1.0, 9)
-    round_csv = GridFunction.from_csv(grid.to_csv())
-    round_json = GridFunction.from_json(grid.to_json())
-    same = float(
-        np.max(np.abs(round_csv.values - grid.values))
-        + np.max(np.abs(round_json.values - grid.values))
-    )
-    yield "grid_serialization_round_trip", same, 1e-300
 
 
 def _cmd_selftest(cfg: QuadratureConfig, output: str | None) -> int:

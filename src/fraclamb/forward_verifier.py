@@ -43,7 +43,6 @@ from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_proble
 from .special_functions import check_dimension, check_integer, sphere_volume
 
 __all__ = [
-    "QuadratureConfig",
     "ResidualReport",
     "forward_radial",
     "forward_power",

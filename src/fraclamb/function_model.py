@@ -36,9 +36,7 @@ __all__ = [
     "effective_lower_cutoff",
     "check_window",
     "sample",
-    "linear_combination",
     "materialize",
-    "zero_function",
 ]
 
 # Relative tail mass at which integrals with lower limit -inf are truncated.
@@ -130,8 +128,7 @@ class CallableFunction(SmoothFunction):
     """SmoothFunction assembled from plain callables.
 
     ``derivative(k, x)`` supplies orders 1..``derivative_order``. Used for
-    lazily evaluated solver outputs, operator compositions, and linear
-    combinations.
+    lazily evaluated solver outputs and operator compositions.
     """
 
     def __init__(self, evaluate, derivative=None, derivative_order=0,
@@ -365,43 +362,6 @@ class ShiftedGaussian(SmoothFunction):
 # Derived functions
 # ---------------------------------------------------------------------------
 
-def linear_combination(coeffs, functions, label=None) -> CallableFunction:
-    """alpha_1 f_1 + ... + alpha_n f_n as a SmoothFunction.
-
-    Derivative order is the minimum over the terms; decay metadata is the
-    absolute-coefficient sum of the terms' bounds (present only if every
-    term has decay).
-    """
-    coeffs = [float(a) for a in coeffs]
-    functions = list(functions)
-    if len(coeffs) != len(functions):
-        raise DomainError("coefficient/function count mismatch")
-    order = min((f.derivative_order for f in functions), default=0)
-    all_decay = all(f.has_decay for f in functions)
-
-    def ev(x):
-        out = np.zeros(np.shape(x), dtype=float)
-        for a, f in zip(coeffs, functions):
-            out += a * f.evaluate(x)
-        return out
-
-    def dv(k, x):
-        out = np.zeros(np.shape(x), dtype=float)
-        for a, f in zip(coeffs, functions):
-            out += a * np.asarray(f.derivative(k, x), dtype=float)
-        return out
-
-    tail = None
-    vtail = None
-    if all_decay:
-        tail = lambda L: sum(abs(a) * f.tail_bound(L) for a, f in zip(coeffs, functions))
-        vtail = lambda L: sum(abs(a) * f.value_tail_bound(L) for a, f in zip(coeffs, functions))
-    return CallableFunction(
-        ev, derivative=dv, derivative_order=order, tail_bound=tail,
-        value_tail_bound=vtail, label=label or "linear_combination",
-    )
-
-
 def materialize(func, decay_like=None, decay_scale=1.0,
                 label="materialized") -> CallableFunction:
     """Wrap a vectorized callable as a SmoothFunction with no derivatives.
@@ -428,16 +388,6 @@ def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
         g._cutoff_guess = lambda log_eps, value_only: parent._cutoff_guess(
             log_eps - log_scale, value_only and value_bound)
     return g
-
-
-def zero_function() -> CallableFunction:
-    return CallableFunction(
-        lambda x: np.zeros(np.shape(x), dtype=float),
-        derivative=lambda k, x: np.zeros(np.shape(x), dtype=float),
-        derivative_order=BUILTIN_ORDER,
-        tail_bound=lambda L: 0.0,
-        label="zero",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +489,7 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of u on a uniform grid; the unit of file I/O.
+    """Samples of u on a uniform grid, written out by ``solve`` and ``forward``.
 
     The i-th value corresponds to ``x_start + i * x_step`` exactly.
     """
@@ -566,47 +516,12 @@ class GridFunction:
             lines.append(f"{x:.17g},{v:.17g}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "GridFunction":
-        rows = [line for line in text.strip().splitlines() if line]
-        if not rows or rows[0].strip() != "x,value":
-            raise DomainError("expected CSV header 'x,value'")
-        xs, vs = [], []
-        for line in rows[1:]:
-            try:
-                sx, sv = line.split(",")
-                xs.append(float(sx))
-                vs.append(float(sv))
-            except ValueError:
-                raise DomainError(f"malformed CSV row {line!r}; expected 'x,value'") from None
-        if len(xs) < 1:
-            raise DomainError("empty grid")
-        step = (xs[-1] - xs[0]) / (len(xs) - 1) if len(xs) > 1 else 1.0
-        # to_csv writes the nodes as x_start + i * x_step; take the step within
-        # one ulp of the endpoint estimate that reproduces every one of them.
-        index = np.arange(len(xs))
-        for candidate in (step, math.nextafter(step, -math.inf), math.nextafter(step, math.inf)):
-            if np.array_equal(xs[0] + index * candidate, xs):
-                step = candidate
-                break
-        return cls(x_start=xs[0], x_step=step, values=np.array(vs))
-
     def to_json(self) -> str:
         return json.dumps({
             "x_start": self.x_start,
             "x_step": self.x_step,
             "values": [float(v) for v in self.values],
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridFunction":
-        try:
-            obj = json.loads(text)
-            fields = dict(x_start=float(obj["x_start"]), x_step=float(obj["x_step"]),
-                          values=np.array(obj["values"], dtype=float))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DomainError(f"malformed grid JSON ({type(exc).__name__}: {exc})") from None
-        return cls(**fields)
 
 
 def check_window(a: float, b: float) -> tuple[float, float]:

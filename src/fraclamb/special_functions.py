@@ -1,4 +1,4 @@
-"""Gamma, Beta, and unit-sphere surface volumes, each a plain float.
+"""Gamma and unit-sphere surface volumes, each a plain float.
 
 These constants sit under every solution formula in the package: the
 solution of the n-dimensional equation carries pi^(-n/2), which is exactly
@@ -18,7 +18,7 @@ import numbers
 
 from .errors import DomainError
 
-__all__ = ["gamma", "beta", "sphere_volume"]
+__all__ = ["gamma", "sphere_volume"]
 
 
 def gamma(p: float) -> float:
@@ -33,13 +33,6 @@ def gamma(p: float) -> float:
     if not p > 0.0:
         raise DomainError(f"gamma requires p > 0, got {p}")
     return math.gamma(p)
-
-
-def beta(p: float, q: float) -> float:
-    """Beta function B(p, q) = Gamma(p) Gamma(q) / Gamma(p + q), p, q > 0."""
-    if not (float(p) > 0.0 and float(q) > 0.0):
-        raise DomainError(f"beta requires p, q > 0, got ({p}, {q})")
-    return gamma(p) * gamma(q) / gamma(p + q)
 
 
 def check_integer(name: str, value) -> int:

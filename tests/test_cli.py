@@ -9,7 +9,6 @@ import pytest
 from fraclamb import (
     Exponential,
     GaussTail,
-    GridFunction,
     PosDefMatrix,
     ProblemSpec,
     QuadratureConfig,
@@ -21,7 +20,7 @@ from fraclamb import (
 )
 from fraclamb import cli, forward_verifier
 from fraclamb.cli import main, parse_function
-from conftest import nan_left_of_minus_three, subprocess_env
+from conftest import nan_left_of_minus_three, read_csv, subprocess_env
 
 
 def run_cli(*args, env_extra=None):
@@ -67,7 +66,7 @@ def test_solve_writes_expected_grid():
                      "--function", "exp:lambda=1", "--window", "-1:1",
                      "--count", "5")
     assert result.returncode == 0
-    grid = GridFunction.from_csv(result.stdout)
+    grid = read_csv(result.stdout)
     nodes = -1.0 + np.arange(5) * 0.5
     assert np.allclose(grid.values, np.exp(nodes) / math.pi, rtol=1e-12)
 
@@ -79,7 +78,7 @@ def test_solve_output_matches_library_bitwise(tmp_path):
                      "--count", "9", "--output", str(out))
     assert result.returncode == 0
     assert result.stdout == ""
-    grid = GridFunction.from_csv(out.read_text())
+    grid = read_csv(out.read_text())
     u = solve_ndim(Exponential(1.0), 2, QuadratureConfig())
     direct = sample(u, -1.0, 1.0, 9)
     assert np.array_equal(grid.values, direct.values)
@@ -139,7 +138,7 @@ def test_forward_command_values(variant_args, spec, factor):
                      "exp:lambda=1", "--window", "0:1", "--count", "3",
                      "--mc-samples", "1000")
     assert result.returncode == 0
-    grid = GridFunction.from_csv(result.stdout)
+    grid = read_csv(result.stdout)
     assert np.array_equal(grid.nodes, np.array([0.0, 0.5, 1.0]))
     cfg = QuadratureConfig(mc_samples=1000)
     want = forward(spec, Exponential(1.0), grid.nodes, cfg)[0]
@@ -164,7 +163,7 @@ def test_large_x_window_is_not_an_overflow(capsys):
     # but every value on the window is finite.
     assert main(["solve", "--variant", "classic", "--function", "exp",
                  "--window", "700:705", "--count", "11"]) == 0
-    grid = GridFunction.from_csv(capsys.readouterr().out)
+    grid = read_csv(capsys.readouterr().out)
     want = 2.0 / math.sqrt(math.pi) * np.exp(grid.nodes)
     assert np.max(np.abs(grid.values / want - 1.0)) < 1e-10
     assert main(["verify", "--variant", "classic", "--function", "exp",
@@ -208,6 +207,35 @@ def test_selftest_deterministic_across_runs():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert "selftest:" in a.stdout
+
+
+SELFTEST_LIMITS = [
+    ("sphere_volume_identity", 1e-13),
+    ("eigenfunction_law", 1e-7),
+    ("integer_order_consistency", 1e-9),
+    ("semigroup", 1e-6),
+    ("half_derivative_twice", 1e-5),
+    ("classic_round_trip", 1e-6),
+    ("ndim_round_trip", 1e-6),
+    ("even_direct_vs_fractional", 1e-7),
+    ("power_round_trip", 1e-5),
+    ("power_two_matches_classic", 1e-7),
+    ("classic_is_twice_ndim_one", 1e-9),
+    ("quadform_det_scaling", 1e-9),
+    ("mc_matches_radial_z", 4.0),
+    ("quadform_round_trip_z", 4.0),
+    ("mc_determinism", 1e-300),
+]
+
+
+def test_selftest_runs_every_check_at_its_limit(capsys):
+    # A check that drops out of the battery, or whose limit moves, fails here.
+    assert main(["selftest", "--mc-samples", "200000"]) == 0
+    *rows, summary = capsys.readouterr().out.splitlines()
+    got = [(verdict, name, float(limit.removeprefix("limit=")))
+           for verdict, name, _, limit in map(str.split, rows)]
+    assert got == [("PASS", name, limit) for name, limit in SELFTEST_LIMITS]
+    assert summary.startswith("selftest: 15/15 passed")
 
 
 def test_seed_env_var_and_flag_precedence():

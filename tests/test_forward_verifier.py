@@ -31,11 +31,10 @@ from fraclamb import (
     solve_quadform,
     sphere_volume,
     verify,
-    zero_function,
 )
 from fraclamb import _quad
 from fraclamb.special_functions import gamma
-from conftest import nan_left_of_minus_three
+from conftest import nan_left_of_minus_three, zero_function
 
 CFG = QuadratureConfig()
 SQRT_PI = math.sqrt(math.pi)

@@ -16,7 +16,6 @@ from fraclamb import (
     forward_power,
     forward_radial,
     frac_derivative,
-    linear_combination,
     materialize,
     solve_classic,
     solve_ndim,
@@ -24,11 +23,10 @@ from fraclamb import (
     solve_problem,
     solve_quadform,
     weyl_integral,
-    zero_function,
 )
 from fraclamb.fractional_ops import derivative_view
 from fraclamb.special_functions import sphere_volume
-from conftest import rel_error
+from conftest import combination, rel_error, zero_function
 
 CFG = QuadratureConfig()
 SQRT_PI = math.sqrt(math.pi)
@@ -255,7 +253,7 @@ def test_solver_linearity(family):
     tight = QuadratureConfig(tol=1e-12)
     xs = np.linspace(-0.5, 0.5, 5)
     f, g = family[0], family[2]
-    combo = linear_combination([2.0, -0.5], [f, g])
+    combo = combination(2.0, f, -0.5, g)
     for solve in (
         lambda h: solve_classic(h, tight),
         lambda h: solve_ndim(h, 3, tight),
