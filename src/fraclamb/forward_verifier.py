@@ -22,8 +22,8 @@ Monte Carlo uses the counter-based Philox generator keyed on (seed, probe
 point), so estimates are bit-identical for a fixed seed and independent
 across probe points regardless of evaluation order. A quadrature-valued u
 (a fractional-order solution, one Weyl integral per value) is read at the
-samples off a Chebyshev interpolant, checked against direct u on a fixed
-subset of the samples; see ``forward_quadform_mc``.
+samples off a chopped Chebyshev interpolant of s -> u(x - s^2), checked
+against direct u on a fixed subset of the samples; see ``_sample_values``.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ _MC_BOX_BIAS = 1e-8
 
 _MC_DIM_CAP = 4
 
-# Chebyshev proxy for a quadrature-valued u: its degree, and how many of
-# the first samples check it against direct values.
+# Chebyshev proxy for a quadrature-valued u: its degree, the level below
+# which its trailing coefficients are dropped (relative to the largest), and
+# how many of the first samples check it against direct values.
 _PROXY_DEGREE = 128
+_PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
 
 
@@ -109,24 +111,34 @@ def _probe_rng(seed: int, x: float) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_values(u: SmoothFunction, points: np.ndarray, x: float,
+def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
                    cfg: QuadratureConfig) -> np.ndarray:
-    """u at the sample points, all of them left of x.
+    """u(x - form) at the samples' quadratic forms, all of them >= 0.
 
-    A quadrature-valued u is read off its degree-_PROXY_DEGREE Chebyshev
-    interpolant on [min(points), x], built from _PROXY_DEGREE + 1 direct
-    values. The interpolant stands only if it is within cfg.tol * max|u|
-    of direct u on the first _PROXY_CHECKS points (a NaN fails); otherwise
-    u is evaluated directly at every point, as it is for any other u.
+    A quadrature-valued u is read off the degree-_PROXY_DEGREE Chebyshev
+    interpolant of s -> u(x - s^2) on [0, sqrt(max(forms))], built from
+    _PROXY_DEGREE + 1 direct values and evaluated at s = sqrt(form). In s a
+    tail that decays like exp(lam * xi) becomes a Gaussian, which the series
+    resolves at this degree where one in x may not. Trailing coefficients
+    below _PROXY_CHOP of the largest are dropped first: max|c| <= 2 max|u|,
+    so this moves a value by at most 128 * 2e-13 * max|u| = 2.6e-11 max|u|,
+    40x inside the check at the default tol. The interpolant stands only if
+    it is within cfg.tol * max|u| of direct u on the first _PROXY_CHECKS
+    samples (a NaN fails); otherwise u is evaluated directly at every
+    sample, as it is for any other u.
     """
     if u.quadrature_valued:
         proxy = np.polynomial.Chebyshev.interpolate(
-            u.evaluate, _PROXY_DEGREE, domain=[float(np.min(points)), x])
-        vals = proxy(points)
-        direct = u.evaluate(points[:_PROXY_CHECKS])
+            lambda s: u.evaluate(x - s * s), _PROXY_DEGREE,
+            domain=[0.0, math.sqrt(float(np.max(forms)))])
+        # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
+        small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
+        proxy = proxy.truncate(proxy.coef.size - np.argmin(small[::-1]))
+        vals = proxy(np.sqrt(forms))
+        direct = u.evaluate(x - forms[:_PROXY_CHECKS])
         if np.max(np.abs(vals[:_PROXY_CHECKS] - direct)) <= cfg.tol * np.max(np.abs(direct)):
             return vals
-    return u.evaluate(points)
+    return u.evaluate(x - forms)
 
 
 def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
@@ -134,9 +146,11 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     """Monte Carlo estimate of int_{R^n} u(x - y^T A y) dy, n <= 4.
 
     Samples are uniform on a box outside which |u| stays below 1e-8 of
-    |u(x)|. u is evaluated at each sample directly, unless it is
-    quadrature_valued: then a Chebyshev interpolant of u, checked against
-    direct values, stands in for it (``_sample_values``).
+    |u(x)|. Each quadratic form y^T A y is built from A.entries in two
+    passes, (y A) . y, never from A's Cholesky factor. u is evaluated at
+    each sample directly, unless it is quadrature_valued: then a chopped
+    Chebyshev interpolant in s = sqrt(y^T A y), checked against direct
+    values, stands in for it (``_sample_values``).
 
     Returns (estimate, standard_error); bit-identical for a fixed
     cfg.mc_seed.
@@ -156,8 +170,8 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
 
     rng = _probe_rng(cfg.mc_seed, x)
     y = rng.uniform(-R, R, size=(cfg.mc_samples, n))
-    form = np.einsum("ij,jk,ik->i", y, A.entries, y)
-    vals = _sample_values(u, x - form, x, cfg)
+    form = np.einsum("ij,ij->i", y @ A.entries, y)
+    vals = _sample_values(u, form, x, cfg)
     volume = (2.0 * R) ** n
     estimate = volume * float(np.mean(vals))
     std_error = volume * float(np.std(vals, ddof=1)) / math.sqrt(cfg.mc_samples)

@@ -32,7 +32,7 @@ from fraclamb import (
     sphere_volume,
     verify,
 )
-from fraclamb import _quad
+from fraclamb import _quad, forward_verifier
 from fraclamb.special_functions import gamma
 from conftest import nan_left_of_minus_three, zero_function
 
@@ -349,6 +349,9 @@ PROXY_MATRICES = [
     PosDefMatrix([[2.0]]),
     PosDefMatrix([[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]]),
 ]
+BUILT_INS = pytest.mark.parametrize(
+    "f", [Exponential(1.0), GaussTail(1.0, 0.0), ShiftedGaussian(1.0, 0.0)],
+    ids=["exp", "gauss_tail", "shifted_gaussian"])
 
 
 def _direct(u):
@@ -357,18 +360,38 @@ def _direct(u):
 
 
 @pytest.mark.parametrize("A", PROXY_MATRICES, ids=["n=1", "n=3"])
-@pytest.mark.parametrize("f", [Exponential(1.0), GaussTail(1.0, 0.0), ShiftedGaussian(1.0, 0.0)],
-                         ids=["exp", "gauss_tail", "shifted_gaussian"])
+@BUILT_INS
 def test_proxied_quadform_mc_agrees_with_direct_route(f, A):
-    # Every case here is proxied except gauss_tail with n=3 at x=0.3, whose
-    # samples span ~240 units: it fails the check and takes the direct route.
     u = solve_quadform(f, A, PROXY_CFG)
     assert u.quadrature_valued
     for x in (-1.0, 0.3):
         est, se = forward_quadform_mc(u, A, x, PROXY_CFG)
         want_est, want_se = forward_quadform_mc(_direct(u), A, x, PROXY_CFG)
-        assert abs(est / want_est - 1.0) <= 1e-9
-        assert abs(se / want_se - 1.0) <= 1e-9
+        assert abs(est / want_est - 1.0) <= 1e-10
+        assert abs(se / want_se - 1.0) <= 1e-10
+
+
+@BUILT_INS
+def test_proxy_holds_at_every_sample(f, monkeypatch):
+    # The runtime check reads only the first 256 samples; this reads all.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(f, A, PROXY_CFG)
+    seen, sample_values = [], forward_verifier._sample_values
+
+    def recording(u, forms, x, cfg):
+        vals = sample_values(u, forms, x, cfg)
+        seen.append((forms, x, vals))
+        return vals
+
+    monkeypatch.setattr(forward_verifier, "_sample_values", recording)
+    for x in (-1.0, 0.3):
+        forward_quadform_mc(u, A, x, PROXY_CFG)
+    assert len(seen) == 2
+    for forms, x, vals in seen:
+        direct = u.evaluate(x - forms)
+        # A proxy that failed its check would return these values bit for bit.
+        assert not np.array_equal(vals, direct)
+        assert np.max(np.abs(vals - direct)) <= PROXY_CFG.tol * np.max(np.abs(direct))
 
 
 def _counting(u, marked):
@@ -400,9 +423,10 @@ def test_proxy_failing_its_check_falls_back_to_direct_values():
 
 
 @pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
-def test_proxy_bounds_evaluations_per_probe(marked):
+@BUILT_INS
+def test_proxy_bounds_evaluations_per_probe(f, marked):
     A = PROXY_MATRICES[1]
-    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked)
+    u, sizes = _counting(solve_quadform(f, A, PROXY_CFG), marked)
     for x in (-1.0, 0.3):
         sizes.clear()
         forward_quadform_mc(u, A, x, PROXY_CFG)
