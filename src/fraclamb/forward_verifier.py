@@ -223,10 +223,8 @@ class ResidualReport:
     std_errors: list | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
-        lines = ["x,f,forward,residual"]
-        for x, fx, fwd, res in self.rows:
-            lines.append(f"{x:.17g},{fx:.17g},{fwd:.17g},{res:.17g}")
-        return "\n".join(lines) + "\n"
+        return "x,f,forward,residual\n" + "".join(
+            ["%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in self.rows])
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite number is written as null."""

@@ -223,11 +223,25 @@ def _logistic_poly(k: int) -> np.ndarray:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    """1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, which never
+    overflows, from e = e^-|t| without masks. min(t, -t) is -|t| that keeps
+    a NaN's sign, so the floats are those of the two masked formulas."""
+    e = np.negative(t)
+    np.exp(np.minimum(t, e, out=e), out=e)
+    s = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
+
+
+def _horner(x, coeffs: np.ndarray):
+    """numpy's polyval(x, coeffs) for ascending coeffs, in place and in
+    polyval's own operation order, so with the same floats."""
+    out = x * 0.0
+    out += coeffs[-1]
+    for a in coeffs[-2::-1]:
+        out *= x
+        out += a
     return out
 
 
@@ -246,17 +260,19 @@ class GaussTail(_ExponentialTail):
         self.c = _finite("c", c)
         self.label = f"gauss_tail(lambda={self.lam:g}, c={self.c:g})"
 
+    def _sigmoid_at(self, x):
+        t = np.atleast_1d(np.asarray(x, dtype=float) - self.c)
+        t *= self.lam
+        return _sigmoid(t)
+
     def evaluate(self, x):
-        t = np.atleast_1d(self.lam * (np.asarray(x, dtype=float) - self.c))
-        out = math.exp(self.lam * self.c) * _sigmoid(t)
+        out = self._sigmoid_at(x)
+        out *= math.exp(self.lam * self.c)
         return out.reshape(np.shape(x))
 
     def _analytic_derivative(self, k, x):
-        t = np.atleast_1d(self.lam * (x - self.c))
-        s = _sigmoid(t)
-        poly = _logistic_poly(k)
-        val = math.exp(self.lam * self.c) * self.lam ** k \
-            * np.polynomial.polynomial.polyval(s, poly)
+        val = _horner(self._sigmoid_at(x), _logistic_poly(k))
+        val *= math.exp(self.lam * self.c) * self.lam ** k
         return val.reshape(np.shape(x))
 
     @functools.cached_property
@@ -276,6 +292,13 @@ def _hermite_coeffs(k: int) -> np.ndarray:
     return np.polynomial.hermite_e.herme2poly([0.0] * k + [1.0])
 
 
+def _half_gauss(t: np.ndarray) -> np.ndarray:
+    """exp(-0.5 * t * t) for an array t, with one temporary."""
+    e = t * -0.5
+    e *= t
+    return np.exp(e, out=e)
+
+
 class ShiftedGaussian(SmoothFunction):
     """x -> exp(-(x - c)^2 / (2 sigma^2)); derivatives via Hermite polynomials."""
 
@@ -286,14 +309,20 @@ class ShiftedGaussian(SmoothFunction):
         self.c = _finite("c", c)
         self.label = f"shifted_gaussian(sigma={self.sigma:g}, c={self.c:g})"
 
+    def _scaled(self, x):
+        t = np.atleast_1d(np.asarray(x, dtype=float) - self.c)
+        t /= self.sigma
+        return t
+
     def evaluate(self, x):
-        t = (x - self.c) / self.sigma
-        return np.exp(-0.5 * t * t)
+        return _half_gauss(self._scaled(x)).reshape(np.shape(x))
 
     def _analytic_derivative(self, k, x):
-        t = (x - self.c) / self.sigma
-        he = np.polynomial.polynomial.polyval(t, _hermite_coeffs(k))
-        return (-1.0 / self.sigma) ** k * he * np.exp(-0.5 * t * t)
+        t = self._scaled(x)
+        he = _horner(t, _hermite_coeffs(k))
+        he *= (-1.0 / self.sigma) ** k
+        he *= _half_gauss(t)
+        return he.reshape(np.shape(x))
 
     @functools.cached_property
     def _tail_terms(self):
@@ -511,10 +540,8 @@ class GridFunction:
         return self.x_start + np.arange(self.values.size) * self.x_step
 
     def to_csv(self) -> str:
-        lines = ["x,value"]
-        for x, v in zip(self.nodes, self.values):
-            lines.append(f"{x:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.nodes.tolist(), self.values.tolist())
+        return "x,value\n" + "".join(["%.17g,%.17g\n" % row for row in rows])
 
     def to_json(self) -> str:
         return json.dumps({

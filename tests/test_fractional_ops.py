@@ -9,15 +9,17 @@ from fraclamb import (
     Exponential,
     GaussTail,
     NoDecayError,
+    ProblemSpec,
     QuadratureConfig,
     ShiftedGaussian,
     frac_derivative,
     materialize,
     split_order,
+    verify,
     weyl_integral,
 )
-from fraclamb import _quad
-from fraclamb.fractional_ops import derivative_view
+from fraclamb import _quad, fractional_ops
+from fraclamb.fractional_ops import _weyl_batch, derivative_view
 from fraclamb.special_functions import gamma
 from conftest import rel_error
 
@@ -98,6 +100,48 @@ def test_weyl_convergence_error_carries_estimate(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         weyl_integral(Exponential(1.0), 0.5, 0.0, CFG)
     assert info.value.estimate is not None
+
+
+BUILTINS = [Exponential(1.3), GaussTail(1.2, 0.3), ShiftedGaussian(0.8, -0.2)]
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0 / 3.0, 2.0 / 3.0], ids=["1/2", "1/3", "2/3"])
+@pytest.mark.parametrize("f", BUILTINS, ids=["exp", "gauss_tail", "shifted_gaussian"])
+def test_weyl_values_do_not_depend_on_the_block_size(f, mu, monkeypatch):
+    # 1500 rows span several blocks at every refinement level.
+    xs = np.linspace(-3.0, 1.0, 1500)
+    assert xs.size * _quad.NODES_PER_PANEL > 2 * fractional_ops._BLOCK_NODES
+    gs = (f, derivative_view(f, 1))
+    blocked = [_weyl_batch(g, mu, xs, CFG) for g in gs]
+    # One row per block, then the whole batch in one block.
+    for block in (1, xs.size * _quad.MAX_PANELS * _quad.NODES_PER_PANEL):
+        monkeypatch.setattr(fractional_ops, "_BLOCK_NODES", block)
+        for g, want in zip(gs, blocked):
+            assert _weyl_batch(g, mu, xs, CFG).tobytes() == want.tobytes()
+
+
+def test_integrate_batch_integrand_receives_every_row(monkeypatch):
+    """The contract the benchmark's tracer relies on: it applies the rule's
+    weights to each integrand call's values over all rows of the call."""
+    calls = []
+    original = _quad.integrate_batch
+
+    def recording(integrand, uppers, cfg):
+        rows = np.atleast_1d(uppers).size
+
+        def checked(s):
+            vals = integrand(s)
+            calls.append((rows, s.shape, np.shape(vals)))
+            return vals
+        return original(checked, uppers, cfg)
+
+    monkeypatch.setattr(_quad, "integrate_batch", recording)
+    weyl_integral(GaussTail(1.2, 0.3), 2.0 / 3.0, np.linspace(-3.0, 1.0, 1500), CFG)
+    verify(ProblemSpec("power", m=3), ShiftedGaussian(0.8, -0.2), (-2.0, 1.0), 3, CFG)
+    assert max(rows for rows, _, _ in calls) * _quad.NODES_PER_PANEL > fractional_ops._BLOCK_NODES
+    assert min(rows for rows, _, _ in calls) == 1
+    for rows, shape, vals_shape in calls:
+        assert shape[0] == rows and vals_shape == shape
 
 
 def test_eigenfunction_law_property():

@@ -22,7 +22,9 @@ from fraclamb import (
     solve_problem,
 )
 from fraclamb.fractional_ops import derivative_view
-from fraclamb.function_model import BUILTIN_ORDER, _hermite_coeffs, _logistic_poly
+from fraclamb.forward_verifier import ResidualReport
+from fraclamb.function_model import (BUILTIN_ORDER, _hermite_coeffs, _horner, _logistic_poly,
+                                     _sigmoid)
 from fraclamb.special_functions import gamma
 from conftest import combination, read_csv, rel_error
 
@@ -378,3 +380,87 @@ def test_grid_function_json_round_trip():
     back = json.loads(grid.to_json())
     assert np.array_equal(back["values"], grid.values)
     assert (back["x_start"], back["x_step"]) == (grid.x_start, grid.x_step)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass kernels give the floats of the formulas they replaced
+# ---------------------------------------------------------------------------
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+           745.0, -745.0, 1e-300, -1e-300]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def masked_sigmoid(t):
+    """The masked logistic function the built-ins used before, as reference."""
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    t = np.concatenate([SPECIAL, rng.standard_normal(4000) * 40.0, rng.uniform(-1e-3, 1e-3, 100)])
+    for arr in (t, rng.permutation(t).reshape(30, -1)):
+        assert np.array_equal(bits(_sigmoid(arr)), bits(masked_sigmoid(arr)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")  # inf * 0 in both
+def test_horner_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(12)
+    inputs = [np.asarray(0.37), np.asarray(-2.5),
+              np.concatenate([SPECIAL, rng.uniform(-6.0, 6.0, 251)]),
+              rng.uniform(-6.0, 6.0, (33, 64))]
+    for k in range(BUILTIN_ORDER + 2):
+        for coeffs in (_logistic_poly(k), _hermite_coeffs(k)):
+            for x in inputs:
+                want = np.polynomial.polynomial.polyval(x, coeffs)
+                assert np.array_equal(bits(_horner(x, coeffs)), bits(want))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("f", [GaussTail(1.3, 0.4), ShiftedGaussian(0.7, -0.3)],
+                         ids=["gauss_tail", "shifted_gaussian"])
+def test_builtin_kernels_match_their_polyval_formulas(f):
+    """Values and every derivative, bit for bit, against the expressions the
+    built-ins evaluated before their kernels went in place."""
+    polyval = np.polynomial.polynomial.polyval
+
+    def reference(k, x):
+        if isinstance(f, GaussTail):
+            t = np.atleast_1d(f.lam * (x - f.c))
+            scale = math.exp(f.lam * f.c) * f.lam ** k
+            return (scale * polyval(masked_sigmoid(t), _logistic_poly(k))).reshape(np.shape(x))
+        t = (x - f.c) / f.sigma
+        gauss = np.exp(-0.5 * t * t)
+        return gauss if k == 0 else (-1.0 / f.sigma) ** k * polyval(t, _hermite_coeffs(k)) * gauss
+
+    rng = np.random.default_rng(13)
+    inputs = [np.asarray(-0.8), np.concatenate([SPECIAL, rng.uniform(-8.0, 4.0, 301)]),
+              rng.uniform(-8.0, 4.0, (17, 96))]
+    for x in inputs:
+        assert np.array_equal(bits(f.evaluate(x)), bits(reference(0, x)))
+        for k in range(1, BUILTIN_ORDER + 1):
+            assert np.array_equal(bits(f._analytic_derivative(k, x)), bits(reference(k, x)))
+
+
+def test_csv_writers_match_the_row_by_row_formatter():
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0])
+    grids = [GridFunction(-0.0, 0.25, special), GridFunction(1e308, 1e300, special[::-1]),
+             sample(GaussTail(1.1, 0.2), -3.0, 1.0, 20001)]
+    for grid in grids:
+        want = "".join(["x,value\n"] + [f"{x:.17g},{v:.17g}\n"
+                                         for x, v in zip(grid.nodes, grid.values)])
+        assert grid.to_csv() == want
+
+    rows = [tuple(np.roll(special, i)[:4].tolist()) for i in range(len(special))]
+    report = ResidualReport((-1.0, 1.0), len(rows), 0.0, 0.0, rows)
+    want = "".join(["x,f,forward,residual\n"] + [
+        f"{x:.17g},{fx:.17g},{fwd:.17g},{res:.17g}\n" for x, fx, fwd, res in rows])
+    assert report.to_csv() == want
