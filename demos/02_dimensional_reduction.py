@@ -3,7 +3,8 @@
 Even dimensions solve with a plain scaled derivative, odd dimensions with a
 half-order fractional derivative. The polar-coordinate reduction that makes
 one radial integral out of the n-dimensional one is witnessed numerically:
-Cartesian Monte Carlo and the radial quadrature must agree.
+a randomized lattice rule in Cartesian coordinates and the radial
+quadrature must agree.
 """
 
 import numpy as np
@@ -19,12 +20,12 @@ for n in range(1, 7):
     kind = "derivative" if n % 2 == 0 else "fractional"
     print(f"  n={n} ({kind:10s}): max rel residual {rep.max_rel_residual:.2e}")
 
-print("\nradial reduction vs Cartesian Monte Carlo (u = e^x):")
+print("\nradial reduction vs Cartesian lattice rule (u = e^x):")
 u = fl.Exponential(1.0)
 for n in (1, 2, 3):
     radial = fl.forward_radial(u, n, 0.0, cfg)
     est, se = fl.forward_montecarlo(u, n, 0.0, cfg)
-    print(f"  n={n}: radial={radial:.6f}  mc={est:.6f} +- {se:.1e}  "
+    print(f"  n={n}: radial={radial:.12f}  lattice={est:.12f} +- {se:.1e}  "
           f"diff={abs(est - radial) / se:.2f} std errors")
 
 # The radial value for e^(lam x) has the closed form pi^(n/2) lam^(-n/2) e^(lam x).

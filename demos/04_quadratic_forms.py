@@ -1,9 +1,9 @@
 """The quadratic-form variant int_{R^n} u(x - y^T A y) dy = f(x).
 
 Substituting z = A^(1/2) y turns this into the symmetric equation with a
-Jacobian factor, so u = sqrt(det A) pi^(-n/2) D^(n/2) f. Monte Carlo over
-the original Cartesian coordinates certifies the substitution: it never
-sees A^(1/2), only y^T A y.
+Jacobian factor, so u = sqrt(det A) pi^(-n/2) D^(n/2) f. A randomized
+lattice rule over the original Cartesian coordinates certifies the
+substitution: it never sees A^(1/2), only y^T A y.
 """
 
 import math
@@ -21,12 +21,12 @@ matrices = {
     "[[2,1],[1,2]]": fl.PosDefMatrix([[2.0, 1.0], [1.0, 2.0]]),
 }
 
-print("solutions and Monte Carlo certification at x = 0 (f = e^x):")
+print("solutions and lattice-rule certification at x = 0 (f = e^x):")
 for name, A in matrices.items():
     u = fl.solve_quadform(f, A, cfg)
     est, se = fl.forward_quadform_mc(u, A, 0.0, cfg)
     print(f"  A={name:14s} det={A.det:4.1f}  u(0)={float(u(0.0)):.8f}  "
-          f"forward={est:.6f} +- {se:.1e} (target 1)")
+          f"forward={est:.12f} +- {se:.1e} (target 1)")
 
 A = matrices["[[2,1],[1,2]]"]
 base = fl.solve_quadform(f, A, cfg)
@@ -39,4 +39,4 @@ for c in (2.0, 5.0):
 
 print("\nGaussian cross-check: int exp(-y^T A y) dy = pi / sqrt(det A):")
 est, se = fl.forward_quadform_mc(f, A, 0.0, cfg)
-print(f"  mc={est:.6f} +- {se:.1e}   closed={math.pi / math.sqrt(A.det):.6f}")
+print(f"  lattice={est:.12f} +- {se:.1e}   closed={math.pi / math.sqrt(A.det):.12f}")

@@ -16,6 +16,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,7 +52,10 @@ from .special_functions import gamma, sphere_volume
 __all__ = ["main", "parse_function"]
 
 _DEFAULT_THRESHOLD = 1e-5
-_MC_THRESHOLD_FLOOR = 1e-4
+# The default quadform gate: a relative floor plus this many standard errors
+# per probe. The SE has at least 15 degrees of freedom (16 lattice shifts).
+_MC_THRESHOLD_FLOOR = 1e-6
+_MC_SE_MULTIPLE = 6.0
 
 _FUNCTION_KEYS = {
     "exp": {"lambda"},
@@ -149,13 +153,17 @@ def _add_common(p: argparse.ArgumentParser, with_grid: bool):
         p.add_argument("--threshold", type=float, default=None,
                        help="max relative residual for exit 0")
     p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol)
-    p.add_argument("--mc-samples", type=int, default=DEFAULT_CONFIG.mc_samples)
+    p.add_argument("--mc-samples", type=int, default=DEFAULT_CONFIG.mc_samples,
+                   help="integrand values per quadform probe, a budget: the lattice "
+                        "rule uses N q <= this many")
     p.add_argument("--seed", type=str, default=None)
     p.add_argument("--output", default=None, help="write artifact here instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="fraclamb",
         description="Solve and certify Lamb-Bateman-type integral equations.",
@@ -251,10 +259,11 @@ def _cmd_verify(args, spec: ProblemSpec, f: SmoothFunction, cfg: QuadratureConfi
     report = verify(spec, f, args.window, args.probes, cfg)
     if threshold is None:
         if report.std_errors is not None:
-            f_scale = max(abs(fx) for _, fx, _, _ in report.rows)
-            f_scale = max(f_scale, 1e-300)
-            threshold = max(_MC_THRESHOLD_FLOOR,
-                            4.0 * max(se / f_scale for se in report.std_errors))
+            # Each SE relative to its own |f(x)|, as the residuals are.
+            f_abs = [abs(fx) for _, fx, _, _ in report.rows]
+            floor = max(1e-300 * max(f_abs), 1e-300)
+            threshold = _MC_THRESHOLD_FLOOR + _MC_SE_MULTIPLE * max(
+                se / max(fa, floor) for fa, se in zip(f_abs, report.std_errors))
         else:
             threshold = _DEFAULT_THRESHOLD
     payload = report.to_csv() if args.format == "csv" else report.to_json() + "\n"

@@ -22,9 +22,13 @@ class QuadratureConfig:
 
     Attributes:
         tol: target absolute error, scaled as tol * (1 + |result|); finite.
-        mc_samples: Monte Carlo sample count, an integer >= 1000.
-        mc_seed: integer 64-bit seed for the counter-based generator;
-            estimates are bit-identical across runs for a fixed seed.
+        mc_samples: budget of integrand values per probe of the
+            quadratic-form lattice rule, an integer >= 1000. The rule uses
+            N q <= mc_samples of them: N = 2^m lattice points under
+            q >= 16 random shifts (983040 for the default, 49152 for 5e4).
+        mc_seed: integer 64-bit seed of the counter-based generator that
+            draws the shifts; estimates are bit-identical across runs for
+            a fixed seed.
 
     Improper integrals are always truncated from the integrand's decay
     metadata, at relative tail mass function_model.CUTOFF_EPSILON, and

@@ -44,7 +44,7 @@ class NotPositiveDefiniteError(FracLambError, ValueError):
 
 
 class DimensionCapError(FracLambError, ValueError):
-    """Cartesian Monte Carlo was requested above its supported dimension."""
+    """The Cartesian lattice rule was requested above its supported dimension."""
 
 
 class SelectorError(FracLambError, ValueError):

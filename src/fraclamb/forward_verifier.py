@@ -11,19 +11,22 @@ value depends on its own point only:
   ``forward_power`` is (0, m, 1), for the classic (m = 2) and power
   variants; ``forward_radial`` is (n - 1, 2, Vol(S^(n-1))), the exact
   polar reduction of the full-space integral, for symmetric_ndim;
-* ``forward_quadform_mc``: Monte Carlo over a truncated box in Cartesian
-  coordinates, up to n = 4, for the quadratic-form variant.
-  ``forward_montecarlo`` is the same estimator with A = identity.
-  Agreement between the Monte Carlo and radial routes is the numerical
-  witness for the polar Jacobian r^(n-1) sin^(n-2)(...) that justifies
-  the reduction.
+* ``forward_quadform_mc``: a randomized rank-1 lattice rule in Cartesian
+  coordinates, up to n = 4, for the quadratic-form variant, with a
+  logistic map of the unit cube onto all of R^n. ``forward_montecarlo``
+  is the same estimator with A = identity. Agreement between the lattice
+  and radial routes is the numerical witness for the polar Jacobian
+  r^(n-1) sin^(n-2)(...) that justifies the reduction.
 
-Monte Carlo uses the counter-based Philox generator keyed on (seed, probe
-point), so estimates are bit-identical for a fixed seed and independent
-across probe points regardless of evaluation order. A quadrature-valued u
-(a fractional-order solution, one Weyl integral per value) is read at the
-samples off a chopped Chebyshev interpolant of s -> u(x - s^2), checked
-against direct u on a fixed subset of the samples; see ``_sample_values``.
+The lattice rule's random shifts come from the counter-based Philox
+generator keyed on (seed, probe point), so estimates are bit-identical for
+a fixed seed and independent across probe points regardless of evaluation
+order; its standard error comes from the spread of the shifts. A
+quadrature-valued u (a fractional-order solution, one Weyl integral per
+value) is read at the samples below u's own decay span off a chopped
+Chebyshev interpolant of s -> u(x - s^2), checked against direct u on a
+fixed subset of the samples, and evaluated directly past that span; see
+``_sample_values``.
 """
 
 from __future__ import annotations
@@ -52,16 +55,26 @@ __all__ = [
     "verify",
 ]
 
-# Relative truncation bias allowed for the Monte Carlo box. Tighter boxes
-# mean lower estimator variance, so this is deliberately looser than
-# CUTOFF_EPSILON while staying far below the estimator's standard error.
-_MC_BOX_BIAS = 1e-8
-
 _MC_DIM_CAP = 4
+
+# Randomized rank-1 lattice rule for the quadratic-form certificate. The
+# generating vector comes from tools/lattice_vectors.py, a component-by-
+# component search good at every 2^m points up to 2^_LATTICE_M_MAX; its
+# first n components serve dimension n. At least _LATTICE_SHIFTS random
+# shifts give the standard error 15 or more degrees of freedom.
+_LATTICE_Z = (1, 683381, 509385, 950201)
+_LATTICE_M_MAX = 20
+_LATTICE_SHIFTS = 16
+# The logistic map's scale c is _LOGISTIC_KAPPA times
+# sqrt(D / (ln(1 / _LOGISTIC_DECAY) min_pivot)), with D the span over which
+# u decays by _LOGISTIC_DECAY and min_pivot A's smallest Cholesky pivot: for
+# an exponential u, the length in y over which u(x - y^T A y) falls by e.
+_LOGISTIC_KAPPA = 0.75
+_LOGISTIC_DECAY = 1e-8
 
 # Chebyshev proxy for a quadrature-valued u: its degree, the level below
 # which its trailing coefficients are dropped (relative to the largest), and
-# how many of the first samples check it against direct values.
+# how many samples check it against direct values.
 _PROXY_DEGREE = 128
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
@@ -111,76 +124,143 @@ def _probe_rng(seed: int, x: float) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
+    place over preallocated buffers instead of three new arrays per term."""
+    if coef.size == 1:
+        coef = np.append(coef, 0.0)
+    x2 = 2.0 * t
+    c0 = np.full_like(t, coef[-2])
+    c1 = np.full_like(t, coef[-1])
+    spare = np.empty_like(t)
+    for ck in coef[-3::-1]:
+        np.subtract(ck, c1, out=spare)
+        c1 *= x2
+        c1 += c0
+        c0, spare = spare, c0
+    c1 *= t
+    c1 += c0
+    return c1
+
+
 def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
                    cfg: QuadratureConfig) -> np.ndarray:
-    """u(x - form) at the samples' quadratic forms, all of them >= 0.
+    """u(x - form) at the samples' quadratic forms, all of them >= 0, as a
+    new array.
 
     A quadrature-valued u is read off the degree-_PROXY_DEGREE Chebyshev
-    interpolant of s -> u(x - s^2) on [0, sqrt(max(forms))], built from
-    _PROXY_DEGREE + 1 direct values and evaluated at s = sqrt(form). In s a
-    tail that decays like exp(lam * xi) becomes a Gaussian, which the series
-    resolves at this degree where one in x may not. Trailing coefficients
-    below _PROXY_CHOP of the largest are dropped first: max|c| <= 2 max|u|,
-    so this moves a value by at most 128 * 2e-13 * max|u| = 2.6e-11 max|u|,
-    40x inside the check at the default tol. The interpolant stands only if
-    it is within cfg.tol * max|u| of direct u on the first _PROXY_CHECKS
-    samples (a NaN fails); otherwise u is evaluated directly at every
-    sample, as it is for any other u.
+    interpolant of s -> u(x - s^2) on [0, sqrt(S)], built from
+    _PROXY_DEGREE + 1 direct values and evaluated at s = sqrt(form). The cap
+    S = _decay_span(u, x, CUTOFF_EPSILON) is u's own decay span: past it
+    |u| < CUTOFF_EPSILON |u(x)|, and the few samples there (1-3% of the
+    benchmark's) are evaluated directly. In s a tail that decays like
+    exp(lam * xi) becomes a Gaussian, which the series resolves at this
+    degree where one in x may not. Trailing coefficients below _PROXY_CHOP
+    of the largest are dropped first: max|c| <= 2 max|u|, so this moves a
+    value by at most 128 * 2e-13 * max|u| = 2.6e-11 max|u|, 40x inside the
+    check at the default tol. The interpolant stands only if it is within
+    cfg.tol * max|u| of direct u on _PROXY_CHECKS samples spread evenly over
+    those below the cap (a NaN fails); otherwise u is evaluated directly at
+    every sample, as it is for any other u.
     """
     if u.quadrature_valued:
+        span = _decay_span(u, x, CUTOFF_EPSILON)
         proxy = np.polynomial.Chebyshev.interpolate(
-            lambda s: u.evaluate(x - s * s), _PROXY_DEGREE,
-            domain=[0.0, math.sqrt(float(np.max(forms)))])
+            lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
         # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
         small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
-        proxy = proxy.truncate(proxy.coef.size - np.argmin(small[::-1]))
-        vals = proxy(np.sqrt(forms))
-        direct = u.evaluate(x - forms[:_PROXY_CHECKS])
-        if np.max(np.abs(vals[:_PROXY_CHECKS] - direct)) <= cfg.tol * np.max(np.abs(direct)):
+        coef = proxy.coef[:proxy.coef.size - np.argmin(small[::-1])]
+        inside = forms <= span
+        vals = np.empty_like(forms)
+        # The proxy's own map of [0, sqrt(S)] onto [-1, 1].
+        off, scl = proxy.mapparms()
+        s = np.sqrt(forms[inside])
+        s *= scl
+        s += off
+        vals[inside] = _clenshaw(coef, s)
+        if not inside.all():
+            past = ~inside
+            vals[past] = u.evaluate(x - forms[past])
+        checked = np.flatnonzero(inside)
+        checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
+        direct = u.evaluate(x - forms[checked])
+        if not checked.size or (np.max(np.abs(vals[checked] - direct))
+                                <= cfg.tol * np.max(np.abs(direct))):
             return vals
     return u.evaluate(x - forms)
 
 
 def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Monte Carlo estimate of int_{R^n} u(x - y^T A y) dy, n <= 4.
+    """Randomized lattice estimate of int_{R^n} u(x - y^T A y) dy, n <= 4.
 
-    Samples are uniform on a box outside which |u| stays below 1e-8 of
-    |u(x)|. Each quadratic form y^T A y is built from A.entries in two
-    passes, (y A) . y, never from A's Cholesky factor. u is evaluated at
-    each sample directly, unless it is quadrature_valued: then a chopped
-    Chebyshev interpolant in s = sqrt(y^T A y), checked against direct
-    values, stands in for it (``_sample_values``).
+    A rank-1 lattice rule of N = 2^m points, m the largest with
+    N <= cfg.mc_samples / _LATTICE_SHIFTS (and m <= _LATTICE_M_MAX), is
+    taken under q = cfg.mc_samples // N independent Cranley-Patterson random
+    shifts, drawn from the Philox stream keyed on (cfg.mc_seed, x). So
+    cfg.mc_samples is a budget: N q <= cfg.mc_samples integrand values
+    (49152 for 5e4). A point t of the unit cube maps to y = c log(t / (1 - t))
+    per coordinate, with Jacobian prod c / (t (1 - t)); the map covers all
+    of R^n, so nothing is truncated, and a point on the cube's boundary
+    contributes 0. Each quadratic form y^T A y is built from A.entries in
+    two passes, (y A) . y, never from A's determinant, Cholesky factor or
+    the polar reduction. The scale c moves only the variance, never the
+    mean; it is sized from u's decay and A's smallest pivot. u is read at
+    the samples through ``_sample_values``.
 
-    Returns (estimate, standard_error); bit-identical for a fixed
-    cfg.mc_seed.
+    Returns (estimate, standard_error): the mean of the q shift means, and
+    the standard error of that mean combined in quadrature with
+    cfg.tol * |estimate|, the resolution u itself is computed to.
+    Bit-identical for a fixed cfg.mc_seed.
     """
     if not isinstance(A, PosDefMatrix):
         A = PosDefMatrix(A)
     n = A.n
     if n > _MC_DIM_CAP:
         raise DimensionCapError(
-            f"Cartesian Monte Carlo is capped at n <= {_MC_DIM_CAP}, got {n}; "
+            f"the Cartesian lattice rule is capped at n <= {_MC_DIM_CAP}, got {n}; "
             "use the radial route for higher dimensions"
         )
     x = float(x)
-    # y^T A y >= min_pivot |y|^2 on the box, so this radius pushes the
-    # integrand below the bias target at the box boundary.
-    R = math.sqrt(_decay_span(u, x, _MC_BOX_BIAS) / A.min_pivot)
+    m = min((cfg.mc_samples // _LATTICE_SHIFTS).bit_length() - 1, _LATTICE_M_MAX)
+    N = 1 << m
+    q = cfg.mc_samples // N
+    c = _LOGISTIC_KAPPA * math.sqrt(_decay_span(u, x, _LOGISTIC_DECAY)
+                                    / (-math.log(_LOGISTIC_DECAY) * A.min_pivot))
 
+    # Coordinates run along rows. A point k z / N and a shift are multiples
+    # of 2^-53 in [0, 1), so t is one in [0, 1) too: 0 is its only boundary.
     rng = _probe_rng(cfg.mc_seed, x)
-    y = rng.uniform(-R, R, size=(cfg.mc_samples, n))
-    form = np.einsum("ij,ij->i", y @ A.entries, y)
-    vals = _sample_values(u, form, x, cfg)
-    volume = (2.0 * R) ** n
-    estimate = volume * float(np.mean(vals))
-    std_error = volume * float(np.std(vals, ddof=1)) / math.sqrt(cfg.mc_samples)
-    return estimate, std_error
+    points = (np.outer(_LATTICE_Z[:n], np.arange(N)) & (N - 1)) / N
+    t = (points[:, None, :] + rng.random((n, q, 1))).reshape(n, -1)
+    np.subtract(t, 1.0, out=t, where=t >= 1.0)
+    edge = ~np.all(t, axis=0)
+    t[:, edge] = 0.5
+    rest = 1.0 - t
+    weight = t[0] * rest[0]
+    for j in range(1, n):
+        weight *= t[j]
+        weight *= rest[j]
+    np.divide(c ** n, weight, out=weight)
+    weight[edge] = 0.0
+    logit = np.divide(t, rest, out=t)
+    del rest
+    np.log(logit, out=logit)
+    form = A.entries @ logit
+    form *= logit
+    form = form.sum(axis=0)
+    form *= c * c
+    del t, logit  # freed before u is sampled, which needs the memory
+    weight *= _sample_values(u, form, x, cfg)
+    means = weight.reshape(q, N).mean(axis=1)
+    estimate = float(np.mean(means))
+    shift_error = float(np.std(means, ddof=1)) / math.sqrt(q)
+    return estimate, math.hypot(shift_error, cfg.tol * estimate)
 
 
 def forward_montecarlo(u: SmoothFunction, n: int, x: float,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Monte Carlo estimate of int_{R^n} u(x - |y|^2) dy, n <= 4:
+    """Randomized lattice estimate of int_{R^n} u(x - |y|^2) dy, n <= 4:
     forward_quadform_mc with A = identity."""
     return forward_quadform_mc(u, PosDefMatrix.identity(check_dimension(n)), x, cfg)
 
@@ -191,7 +271,7 @@ def forward(spec: ProblemSpec, u: SmoothFunction, xs,
 
     Returns (values, standard_errors) as 1-D arrays over the flattened xs.
     The standard errors are None for the deterministic quadrature routes;
-    only the quadform variant, certified by Monte Carlo, has them. Every
+    only the quadform variant, certified by a randomized lattice rule, has them. Every
     value depends on its own probe point only.
     """
     xs = np.asarray(xs, dtype=float).ravel()

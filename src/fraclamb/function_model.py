@@ -441,8 +441,8 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
     without an inverse take the search above.
 
     ``value_only`` uses the bound on |f| alone (enough for integrals of f
-    itself, giving tighter boxes than the all-derivatives bound). A bound
-    that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
+    itself, giving shorter decay spans than the all-derivatives bound). A
+    bound that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
 
     Raises:
         NoDecayError: if f has no decay metadata.

@@ -202,8 +202,8 @@ def solve_quadform(f: SmoothFunction, A: PosDefMatrix,
     """u = sqrt(det A) pi^(-n/2) D^(n/2) f for the quadratic-form equation.
 
     Substituting z = A^(1/2) y reduces the equation to the symmetric case
-    with the Jacobian det(A)^(-1/2); certified by the Monte Carlo forward
-    residual.
+    with the Jacobian det(A)^(-1/2); certified by the randomized lattice
+    forward residual.
     """
     if not isinstance(A, PosDefMatrix):
         A = PosDefMatrix(A)

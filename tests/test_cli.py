@@ -15,6 +15,7 @@ from fraclamb import (
     SelectorError,
     ShiftedGaussian,
     forward,
+    materialize,
     sample,
     solve_ndim,
 )
@@ -278,6 +279,37 @@ def test_verify_fails_on_nan_standard_error(monkeypatch, tmp_path, capsys):
                         lambda spec, u, xs, cfg: (f(xs), np.full(len(xs), math.nan)))
     assert main(_quadform_verify(tmp_path)) == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def _scale_solutions(monkeypatch, factor):
+    """Make verify certify factor * u in place of the solution u."""
+    solve = forward_verifier.solve_problem
+
+    def scaled(spec, f, cfg):
+        u = solve(spec, f, cfg)
+        out = materialize(lambda x: factor * u.evaluate(x), decay_like=u, label="scaled")
+        out.quadrature_valued = u.quadrature_valued
+        return out
+
+    monkeypatch.setattr(forward_verifier, "solve_problem", scaled)
+
+
+@pytest.mark.parametrize("matrix", [
+    "[[2.0, 1.0], [1.0, 2.0]]",
+    "[[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]]",
+], ids=["n=2", "n=3"])
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.001, 1), (1.0 + 1e-5, 1)],
+                         ids=["exact", "off_by_1e-3", "off_by_1e-5"])
+def test_default_quadform_gate_catches_a_wrong_constant(matrix, factor, code, monkeypatch,
+                                                        tmp_path, capsys):
+    # The default sample count and gate: a solution off by a constant factor
+    # of 1 + 1e-5 must fail, and the solution itself pass.
+    path = tmp_path / "A.json"
+    path.write_text(matrix)
+    _scale_solutions(monkeypatch, factor)
+    assert main(["verify", "--variant", "quadform", "--matrix", str(path),
+                 "--function", "exp", "--window", "-1:1", "--probes", "3"]) == code
+    assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["non_numeric_matrix", "ragged_matrix", "matrix_not_utf8",
