@@ -78,6 +78,9 @@ _LOGISTIC_DECAY = 1e-8
 _PROXY_DEGREE = 128
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
+# Samples past the proxy's cap go to u directly in blocks of at most this
+# many, so the Weyl batches' rows x nodes arrays stay bounded.
+_PAST_BLOCK = 4096
 
 
 def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
@@ -153,9 +156,9 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
     _PROXY_DEGREE + 1 direct values and evaluated at s = sqrt(form). The cap
     S = _decay_span(u, x, CUTOFF_EPSILON) is u's own decay span: past it
     |u| < CUTOFF_EPSILON |u(x)|, and the few samples there (1-3% of the
-    benchmark's) are evaluated directly. In s a tail that decays like
-    exp(lam * xi) becomes a Gaussian, which the series resolves at this
-    degree where one in x may not. Trailing coefficients below _PROXY_CHOP
+    benchmark's) are evaluated directly, _PAST_BLOCK at a time. In s a tail
+    that decays like exp(lam * xi) becomes a Gaussian, which the series
+    resolves at this degree where one in x may not. Trailing coefficients below _PROXY_CHOP
     of the largest are dropped first: max|c| <= 2 max|u|, so this moves a
     value by at most 128 * 2e-13 * max|u| = 2.6e-11 max|u|, 40x inside the
     check at the default tol. The interpolant stands only if it is within
@@ -178,9 +181,10 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
         s *= scl
         s += off
         vals[inside] = _clenshaw(coef, s)
-        if not inside.all():
-            past = ~inside
-            vals[past] = u.evaluate(x - forms[past])
+        past = np.flatnonzero(~inside)
+        for i in range(0, past.size, _PAST_BLOCK):
+            block = past[i:i + _PAST_BLOCK]
+            vals[block] = u.evaluate(x - forms[block])
         checked = np.flatnonzero(inside)
         checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
         direct = u.evaluate(x - forms[checked])

@@ -471,6 +471,20 @@ def test_proxy_bounds_evaluations_per_probe(f, marked, monkeypatch):
             assert seen[1:] == [LATTICE_SAMPLES]
 
 
+def test_samples_past_the_cap_go_direct_in_blocks(monkeypatch):
+    A = PROXY_MATRICES[1]
+    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked=True)
+    want = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+    past = sizes[3]
+    assert past > 64
+    monkeypatch.setattr(forward_verifier, "_PAST_BLOCK", 64)
+    sizes.clear()
+    got = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+    remainder = [past % 64] if past % 64 else []
+    assert sizes == [1, 1, 129] + [64] * (past // 64) + remainder + [256]
+    assert got == want
+
+
 def test_error_on_proxy_nodes_keeps_its_class():
     def evaluate(xs):
         if np.size(xs) > 1:

@@ -8,7 +8,7 @@ vector serves every power of two up to 2^M.
 
 The search is component by component (CBC): z_1 = 1, and each next
 component is the candidate, from a seeded pool of odd integers below 2^M,
-that minimises the worst, over m_min <= m <= M, of the squared worst-case
+that minimises the worst, over M_MIN <= m <= M, of the squared worst-case
 error e_m^2 in the Korobov space of smoothness 2 with unit product weights
 (the P_2 criterion),
 
@@ -17,21 +17,28 @@ error e_m^2 in the Korobov space of smoothness 2 with unit product weights
 each divided by the smallest e_m^2 in the pool, with B_2(t) = t^2 - t + 1/6
 (Sloan & Joe, Lattice Methods for Multiple Integration, 1994; Cools, Kuo
 & Nuyens, SIAM J. Sci. Comput. 28, 2006). The vector's first n components
-serve dimension n.
+serve dimension n. The dimension cap and M are forward_verifier's own
+_MC_DIM_CAP and _LATTICE_M_MAX, so the vector always fits the module.
 
-Run from the root of a checkout (about a minute with the defaults):
+Run from the root of a checkout with the package importable (about 45 s):
 
-    python3 tools/lattice_vectors.py
+    PYTHONPATH=src python3 tools/lattice_vectors.py
 
-It prints the vector and each rule's e_m^2 relative to the pool's best.
+It prints the vector, each component's worst e_m^2 relative to the pool's
+best, and whether the vector is the module's _LATTICE_Z.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 
 import numpy as np
+
+from fraclamb.forward_verifier import _LATTICE_M_MAX, _LATTICE_Z, _MC_DIM_CAP
+
+M_MIN = 5     # smallest rule checked: 2^5 points
+POOL = 1024   # seeded odd candidates per component
+SEED = 0
 
 
 def _omega(z: int, size: int) -> np.ndarray:
@@ -64,18 +71,11 @@ def search(dims: int, m_min: int, m_max: int, pool: int, seed: int):
     return z, quality
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--dims", type=int, default=4)
-    p.add_argument("--m-min", type=int, default=5)
-    p.add_argument("--m-max", type=int, default=20)
-    p.add_argument("--pool", type=int, default=1024, help="candidates per component")
-    p.add_argument("--seed", type=int, default=0)
-    args = p.parse_args(argv)
-    z, quality = search(args.dims, args.m_min, args.m_max, args.pool, args.seed)
+def main() -> int:
+    z, quality = search(_MC_DIM_CAP, M_MIN, _LATTICE_M_MAX, POOL, SEED)
     for j, ratios in enumerate(quality, start=1):
         print(f"z_{j} = {z[j - 1]:>7d}  worst e_m^2 / pool best: {ratios.max():.3f}")
-    print(f"_LATTICE_Z = {tuple(z)}")
+    print(f"_LATTICE_Z = {tuple(z)}  (module's: {'same' if tuple(z) == _LATTICE_Z else 'differs'})")
     return 0
 
 
