@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # math.exp in the function's own code
         print(f"numerical error: {getattr(args, 'function', args.command)}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy's, for a grid or batch too large to allocate
+        print(f"numerical error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,11 +22,9 @@ The lattice rule's random shifts come from the counter-based Philox
 generator keyed on (seed, probe point), so estimates are bit-identical for
 a fixed seed and independent across probe points regardless of evaluation
 order; its standard error comes from the spread of the shifts. A
-quadrature-valued u (a fractional-order solution, one Weyl integral per
-value) is read at the samples below u's own decay span off a chopped
-Chebyshev interpolant of s -> u(x - s^2), checked against direct u on a
-fixed subset of the samples, and evaluated directly past that span; see
-``_sample_values``.
+quadrature-valued u (one Weyl integral per value) is read below its decay
+span off a checked Chebyshev interpolant of s -> u(x - s^2), and past it
+directly in bounded blocks (``_sample_values``).
 """
 
 from __future__ import annotations
@@ -78,9 +76,9 @@ _LOGISTIC_DECAY = 1e-8
 _PROXY_DEGREE = 128
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
-# Samples past the proxy's cap go to u directly in blocks of at most this
-# many, so the Weyl batches' rows x nodes arrays stay bounded.
-_PAST_BLOCK = 4096
+# Most samples per direct read of a quadrature-valued u, so that the Weyl
+# batch's rows x nodes arrays stay bounded.
+_DIRECT_BLOCK = 4096
 
 
 def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
@@ -146,52 +144,55 @@ def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c1
 
 
+def _read_direct(u: SmoothFunction, forms: np.ndarray, x: float) -> np.ndarray:
+    """u(x - forms), _DIRECT_BLOCK consecutive samples per call of u."""
+    vals = np.empty_like(forms)
+    for i in range(0, forms.size, _DIRECT_BLOCK):
+        vals[i:i + _DIRECT_BLOCK] = u.evaluate(x - forms[i:i + _DIRECT_BLOCK])
+    return vals
+
+
 def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
                    cfg: QuadratureConfig) -> np.ndarray:
     """u(x - form) at the samples' quadratic forms, all of them >= 0, as a
-    new array.
+    new array. A u that is not quadrature-valued is evaluated in one call.
 
-    A quadrature-valued u is read off the degree-_PROXY_DEGREE Chebyshev
-    interpolant of s -> u(x - s^2) on [0, sqrt(S)], built from
-    _PROXY_DEGREE + 1 direct values and evaluated at s = sqrt(form). The cap
-    S = _decay_span(u, x, CUTOFF_EPSILON) is u's own decay span: past it
+    Otherwise u is read off the degree-_PROXY_DEGREE Chebyshev interpolant of
+    s -> u(x - s^2) on [0, sqrt(S)], from _PROXY_DEGREE + 1 direct values, at
+    s = sqrt(form); in s an exponential tail becomes a Gaussian, which this
+    degree resolves. Past the cap S = _decay_span(u, x, CUTOFF_EPSILON),
     |u| < CUTOFF_EPSILON |u(x)|, and the few samples there (1-3% of the
-    benchmark's) are evaluated directly, _PAST_BLOCK at a time. In s a tail
-    that decays like exp(lam * xi) becomes a Gaussian, which the series
-    resolves at this degree where one in x may not. Trailing coefficients below _PROXY_CHOP
-    of the largest are dropped first: max|c| <= 2 max|u|, so this moves a
-    value by at most 128 * 2e-13 * max|u| = 2.6e-11 max|u|, 40x inside the
-    check at the default tol. The interpolant stands only if it is within
-    cfg.tol * max|u| of direct u on _PROXY_CHECKS samples spread evenly over
-    those below the cap (a NaN fails); otherwise u is evaluated directly at
-    every sample, as it is for any other u.
+    benchmark's) are read by ``_read_direct``. Trailing coefficients below
+    _PROXY_CHOP of the largest are cut: max|c| <= 2 max|u|, so a value moves
+    by at most 128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at
+    the default tol. The interpolant stands if it is within cfg.tol * max|u|
+    of direct u on _PROXY_CHECKS samples spread evenly below the cap (a NaN
+    fails); otherwise ``_read_direct`` reads those samples as well.
     """
-    if u.quadrature_valued:
-        span = _decay_span(u, x, CUTOFF_EPSILON)
-        proxy = np.polynomial.Chebyshev.interpolate(
-            lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
-        # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
-        small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
-        coef = proxy.coef[:proxy.coef.size - np.argmin(small[::-1])]
-        inside = forms <= span
-        vals = np.empty_like(forms)
-        # The proxy's own map of [0, sqrt(S)] onto [-1, 1].
-        off, scl = proxy.mapparms()
-        s = np.sqrt(forms[inside])
-        s *= scl
-        s += off
-        vals[inside] = _clenshaw(coef, s)
-        past = np.flatnonzero(~inside)
-        for i in range(0, past.size, _PAST_BLOCK):
-            block = past[i:i + _PAST_BLOCK]
-            vals[block] = u.evaluate(x - forms[block])
-        checked = np.flatnonzero(inside)
-        checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
-        direct = u.evaluate(x - forms[checked])
-        if not checked.size or (np.max(np.abs(vals[checked] - direct))
-                                <= cfg.tol * np.max(np.abs(direct))):
-            return vals
-    return u.evaluate(x - forms)
+    if not u.quadrature_valued:
+        return u.evaluate(x - forms)
+    span = _decay_span(u, x, CUTOFF_EPSILON)
+    proxy = np.polynomial.Chebyshev.interpolate(
+        lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
+    # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
+    small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
+    coef = proxy.coef[:proxy.coef.size - np.argmin(small[::-1])]
+    inside = forms <= span
+    vals = np.empty_like(forms)
+    # The proxy's own map of [0, sqrt(S)] onto [-1, 1].
+    off, scl = proxy.mapparms()
+    s = np.sqrt(forms[inside])
+    s *= scl
+    s += off
+    vals[inside] = _clenshaw(coef, s)
+    vals[~inside] = _read_direct(u, forms[~inside], x)
+    checked = np.flatnonzero(inside)
+    checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
+    direct = u.evaluate(x - forms[checked])
+    if checked.size and not (np.max(np.abs(vals[checked] - direct))
+                             <= cfg.tol * np.max(np.abs(direct))):
+        vals[inside] = _read_direct(u, forms[inside], x)
+    return vals
 
 
 def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
@@ -201,16 +202,15 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     A rank-1 lattice rule of N = 2^m points, m the largest with
     N <= cfg.mc_samples / _LATTICE_SHIFTS (and m <= _LATTICE_M_MAX), is
     taken under q = cfg.mc_samples // N independent Cranley-Patterson random
-    shifts, drawn from the Philox stream keyed on (cfg.mc_seed, x). So
-    cfg.mc_samples is a budget: N q <= cfg.mc_samples integrand values
-    (49152 for 5e4). A point t of the unit cube maps to y = c log(t / (1 - t))
-    per coordinate, with Jacobian prod c / (t (1 - t)); the map covers all
-    of R^n, so nothing is truncated, and a point on the cube's boundary
-    contributes 0. Each quadratic form y^T A y is built from A.entries in
-    two passes, (y A) . y, never from A's determinant, Cholesky factor or
-    the polar reduction. The scale c moves only the variance, never the
-    mean; it is sized from u's decay and A's smallest pivot. u is read at
-    the samples through ``_sample_values``.
+    shifts, drawn from the Philox stream keyed on (cfg.mc_seed, x): a budget
+    of N q <= cfg.mc_samples integrand values (49152 for 5e4). A point t of
+    the unit cube maps to y = c log(t / (1 - t)) per coordinate, Jacobian
+    prod c / (t (1 - t)), so nothing is truncated and a point on the cube's
+    boundary contributes 0. Each y^T A y is built from A.entries in two
+    passes, (y A) . y, never from A's determinant, Cholesky factor or the
+    polar reduction. The scale c moves only the variance, never the mean; it
+    is sized from u's decay and A's smallest pivot. ``_sample_values`` reads
+    u, a quadrature-valued one in batches that do not grow with N q.
 
     Returns (estimate, standard_error): the mean of the q shift means, and
     the standard error of that mean combined in quadrature with

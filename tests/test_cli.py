@@ -407,3 +407,48 @@ def test_overflowing_window_width_exits_two(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "window" in captured.err
+
+
+def test_hex_seed_is_read_as_an_integer(tmp_path, capsys):
+    outputs = []
+    for seed in ("0x10", "16", "17"):
+        assert main([*_quadform_verify(tmp_path), "--seed", seed]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out != outputs[2].out
+
+
+def test_seed_must_be_an_integer(capsys):
+    assert main(["solve", "--variant", "classic", "--function", "exp", "--window", "0:1",
+                 "--seed", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be an integer, got 'abc'\n"
+
+
+def test_count_is_refused_before_the_derivative_order(capsys):
+    # n = 20 needs derivatives past the built-ins' order (exit 3), but the
+    # count is checked first.
+    assert main(["solve", "--variant", "symmetric_ndim", "-n", "20", "--function", "exp",
+                 "--window", "0:1", "--count", "1"]) == 2
+    assert capsys.readouterr().err == "error: count must be >= 2, got 1\n"
+
+
+def test_malformed_window_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--variant", "classic", "--function", "exp", "--window", "a:1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --window: window must be 'a:b' with numbers, got 'a:1'" in captured.err
+
+
+def test_out_of_memory_is_a_numerical_error(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 7.15 GiB")
+
+    monkeypatch.setattr(cli, "sample", exhausted)
+    assert main(["solve", "--variant", "classic", "--function", "exp", "--window", "0:1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: out of memory: Unable to allocate 7.15 GiB\n"

@@ -54,6 +54,11 @@ class TestQuadratureConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(mc_samples=10)
 
+    @pytest.mark.parametrize("seed", [2 ** 64, -1])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        with pytest.raises(DomainError, match=rf"^mc_seed must fit in 64 bits, got {seed}$"):
+            QuadratureConfig(mc_seed=seed)
+
     @pytest.mark.parametrize("field", ["mc_samples", "mc_seed"])
     def test_refuses_non_integral_counts(self, field):
         with pytest.raises(DomainError, match=rf"^{field} must be an integer, got 5000.5$"):
@@ -357,6 +362,15 @@ def test_decay_span_rejects_non_finite_scale():
     assert not isinstance(info.value, DomainError)
 
 
+@pytest.mark.parametrize("terms", [1, 2, 3, 37])
+def test_clenshaw_is_chebval_bit_for_bit(terms):
+    rng = np.random.default_rng(terms)
+    coef = rng.standard_normal(terms)
+    t = rng.uniform(-1.0, 1.0, 1000)
+    assert np.array_equal(forward_verifier._clenshaw(coef, t),
+                          np.polynomial.chebyshev.chebval(t, coef))
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev proxy for quadrature-valued solutions
 # ---------------------------------------------------------------------------
@@ -431,19 +445,45 @@ def _counting(u, marked):
     return counted, sizes
 
 
-def test_proxy_failing_its_check_falls_back_to_direct_values():
-    # A kink at -0.5, inside every sample span below: degree 128 cannot
-    # reach cfg.tol there.
-    kinked = CallableFunction(lambda x: np.exp(np.minimum(x, -0.5)),
-                              tail_bound=Exponential(1.0).tail_bound, label="kinked")
-    u, sizes = _counting(kinked, marked=True)
+# A kink at -0.5, inside every sample span below: degree 128 cannot reach
+# cfg.tol there, so the proxy fails its check.
+KINKED = CallableFunction(lambda x: np.exp(np.minimum(x, -0.5)),
+                          tail_bound=Exponential(1.0).tail_bound, label="kinked")
+
+
+def test_proxy_failing_its_check_falls_back_to_direct_values(monkeypatch):
+    u, sizes = _counting(KINKED, marked=True)
+    forms, sample_values = [], forward_verifier._sample_values
+    monkeypatch.setattr(forward_verifier, "_sample_values",
+                        lambda u, fm, x, cfg: forms.append(fm) or sample_values(u, fm, x, cfg))
+    block = forward_verifier._DIRECT_BLOCK
     for A in PROXY_MATRICES:
         for x in (-0.3, 0.3):
+            want = forward_quadform_mc(_direct(KINKED), A, x, PROXY_CFG)
             sizes.clear()
-            assert forward_quadform_mc(u, A, x, PROXY_CFG) == \
-                forward_quadform_mc(_direct(kinked), A, x, PROXY_CFG)
-            # Every sample again, in one batch, as on the direct route.
-            assert sizes[-1] == LATTICE_SAMPLES
+            assert forward_quadform_mc(u, A, x, PROXY_CFG) == want
+            cap = forward_verifier._decay_span(KINKED, x, CUTOFF_EPSILON)
+            inside = int(np.sum(forms[-1] <= cap))
+            past_blocks = -(-(LATTICE_SAMPLES - inside) // block)
+            # u(x) twice, the nodes, the samples past the cap, the checks;
+            # then the samples below the cap again, in blocks.
+            assert sizes[:3] == [1, 1, 129] and sizes[3 + past_blocks] == 256
+            fallback = sizes[4 + past_blocks:]
+            assert max(fallback) <= block and sum(fallback) == inside
+
+
+def test_no_direct_read_grows_with_the_sample_count():
+    # Past the proxy's 129 nodes and 256 checks, no call of u sees more than
+    # _DIRECT_BLOCK samples, though the proxy fails and N q is 12 blocks.
+    u, sizes = _counting(KINKED, marked=True)
+    cfg = QuadratureConfig(mc_samples=50_000)
+    forward_quadform_mc(u, PROXY_MATRICES[1], 0.3, cfg)
+    assert sizes[:3] == [1, 1, 129]
+    direct = sizes[3:]
+    direct.remove(256)
+    assert max(direct) <= forward_verifier._DIRECT_BLOCK
+    # The samples past the cap once, those below it once more.
+    assert sum(direct) == 49152
 
 
 @pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
@@ -477,7 +517,7 @@ def test_samples_past_the_cap_go_direct_in_blocks(monkeypatch):
     want = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
     past = sizes[3]
     assert past > 64
-    monkeypatch.setattr(forward_verifier, "_PAST_BLOCK", 64)
+    monkeypatch.setattr(forward_verifier, "_DIRECT_BLOCK", 64)
     sizes.clear()
     got = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
     remainder = [past % 64] if past % 64 else []
