@@ -41,12 +41,14 @@ def integrate_batch(integrand, uppers: np.ndarray, cfg: QuadratureConfig) -> np.
 
     Raises:
         ConvergenceError: if MAX_PANELS is reached first (the error object
-            carries the last estimate).
+            carries the last estimate and max|I_L - I_(L-1)| over the batch
+            for the last two levels, or nan if only one level ran).
     """
     uppers = np.atleast_1d(np.asarray(uppers, dtype=float))
-    previous = None
+    previous = estimate = None
     panels = 1
     while panels <= MAX_PANELS:
+        previous = estimate
         nodes, weights = _unit_rule(panels)
         s = uppers[:, None] * nodes[None, :]
         vals = integrand(s)
@@ -55,7 +57,6 @@ def integrate_batch(integrand, uppers: np.ndarray, cfg: QuadratureConfig) -> np.
             err = np.abs(estimate - previous)
             if np.all(err <= cfg.tol * (1.0 + np.abs(estimate))):
                 return estimate
-        previous = estimate
         panels *= 2
     err = float(np.max(np.abs(estimate - previous))) if previous is not None else float("nan")
     raise ConvergenceError(

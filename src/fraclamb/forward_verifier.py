@@ -21,10 +21,10 @@ value depends on its own point only:
 The lattice rule's random shifts come from the counter-based Philox
 generator keyed on (seed, probe point), so estimates are bit-identical for
 a fixed seed and independent across probe points regardless of evaluation
-order; its standard error comes from the spread of the shifts. A
-quadrature-valued u (one Weyl integral per value) is read below its decay
-span off a checked Chebyshev interpolant of s -> u(x - s^2), and past it
-directly in bounded blocks (``_sample_values``).
+order; its standard error comes from the spread of the shifts. Every
+forward integral stops at u's decay span S (``_decay_span``). A
+quadrature-valued u (one Weyl integral per value) is never read past S, and
+below it off a checked Chebyshev interpolant (``_sample_values``).
 """
 
 from __future__ import annotations
@@ -81,9 +81,11 @@ _PROXY_CHECKS = 256
 _DIRECT_BLOCK = 4096
 
 
-def _decay_span(u: SmoothFunction, x: float, epsilon: float) -> float:
-    """Distance below x past which |u| stays under epsilon * local scale."""
-    value = float(u(x))
+def _decay_span(u: SmoothFunction, x: float, value: float, epsilon: float) -> float:
+    """Distance below x past which |u| stays under epsilon * |u(x)| (epsilon
+    where u(x) = 0), given value = u(x); every forward integral stops at S =
+    _decay_span(u, x, u(x), CUTOFF_EPSILON)."""
+    value = float(value)
     check_finite(u.label, x, value)
     L = effective_lower_cutoff(u, epsilon * (abs(value) or 1.0), value_only=True)
     return max(float(x) - L, 1e-12)
@@ -97,7 +99,7 @@ def _forward_kernel(u: SmoothFunction, alpha: int, m: int, w: float, x: float,
     while s = y^m would bring a weak endpoint singularity.
     """
     x = float(x)
-    Y = _decay_span(u, x, CUTOFF_EPSILON) ** (1.0 / m)
+    Y = _decay_span(u, x, u(x), CUTOFF_EPSILON) ** (1.0 / m)
 
     def integrand(y):
         return y ** alpha * u.evaluate(x - y ** m)
@@ -144,54 +146,47 @@ def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c1
 
 
-def _read_direct(u: SmoothFunction, forms: np.ndarray, x: float) -> np.ndarray:
-    """u(x - forms), _DIRECT_BLOCK consecutive samples per call of u."""
-    vals = np.empty_like(forms)
-    for i in range(0, forms.size, _DIRECT_BLOCK):
-        vals[i:i + _DIRECT_BLOCK] = u.evaluate(x - forms[i:i + _DIRECT_BLOCK])
-    return vals
-
-
-def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float,
+def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
                    cfg: QuadratureConfig) -> np.ndarray:
     """u(x - form) at the samples' quadratic forms, all of them >= 0, as a
-    new array. A u that is not quadrature-valued is evaluated in one call.
+    new array, for the caller to truncate past span. A u that is not
+    quadrature-valued is evaluated at every sample in one call.
 
-    Otherwise u is read off the degree-_PROXY_DEGREE Chebyshev interpolant of
-    s -> u(x - s^2) on [0, sqrt(S)], from _PROXY_DEGREE + 1 direct values, at
-    s = sqrt(form); in s an exponential tail becomes a Gaussian, which this
-    degree resolves. Past the cap S = _decay_span(u, x, CUTOFF_EPSILON),
-    |u| < CUTOFF_EPSILON |u(x)|, and the few samples there (1-3% of the
-    benchmark's) are read by ``_read_direct``. Trailing coefficients below
-    _PROXY_CHOP of the largest are cut: max|c| <= 2 max|u|, so a value moves
-    by at most 128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at
-    the default tol. The interpolant stands if it is within cfg.tol * max|u|
-    of direct u on _PROXY_CHECKS samples spread evenly below the cap (a NaN
-    fails); otherwise ``_read_direct`` reads those samples as well.
+    Otherwise u is never read past span, where the values are 0. Below it u
+    is read off the degree-_PROXY_DEGREE Chebyshev interpolant of
+    s -> u(x - s^2) on [0, sqrt(span)], from _PROXY_DEGREE + 1 direct
+    values, at s = sqrt(form); in s an exponential tail becomes a Gaussian,
+    which this degree resolves. Trailing coefficients below _PROXY_CHOP of
+    the largest are cut: max|c| <= 2 max|u|, so a value moves by at most
+    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the default
+    tol. The interpolant stands if it is within cfg.tol * max|u| of direct u
+    on _PROXY_CHECKS samples spread evenly below span (a NaN fails);
+    otherwise u is read at every sample below span, _DIRECT_BLOCK per call.
     """
     if not u.quadrature_valued:
         return u.evaluate(x - forms)
-    span = _decay_span(u, x, CUTOFF_EPSILON)
     proxy = np.polynomial.Chebyshev.interpolate(
         lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
     # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
     small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
     coef = proxy.coef[:proxy.coef.size - np.argmin(small[::-1])]
     inside = forms <= span
-    vals = np.empty_like(forms)
-    # The proxy's own map of [0, sqrt(S)] onto [-1, 1].
+    vals = np.zeros_like(forms)
+    # The proxy's own map of [0, sqrt(span)] onto [-1, 1].
     off, scl = proxy.mapparms()
     s = np.sqrt(forms[inside])
     s *= scl
     s += off
     vals[inside] = _clenshaw(coef, s)
-    vals[~inside] = _read_direct(u, forms[~inside], x)
     checked = np.flatnonzero(inside)
     checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
     direct = u.evaluate(x - forms[checked])
     if checked.size and not (np.max(np.abs(vals[checked] - direct))
                              <= cfg.tol * np.max(np.abs(direct))):
-        vals[inside] = _read_direct(u, forms[inside], x)
+        below = forms[inside]  # overwritten block by block with u's values
+        for i in range(0, below.size, _DIRECT_BLOCK):
+            below[i:i + _DIRECT_BLOCK] = u.evaluate(x - below[i:i + _DIRECT_BLOCK])
+        vals[inside] = below
     return vals
 
 
@@ -205,12 +200,13 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     shifts, drawn from the Philox stream keyed on (cfg.mc_seed, x): a budget
     of N q <= cfg.mc_samples integrand values (49152 for 5e4). A point t of
     the unit cube maps to y = c log(t / (1 - t)) per coordinate, Jacobian
-    prod c / (t (1 - t)), so nothing is truncated and a point on the cube's
-    boundary contributes 0. Each y^T A y is built from A.entries in two
-    passes, (y A) . y, never from A's determinant, Cholesky factor or the
-    polar reduction. The scale c moves only the variance, never the mean; it
-    is sized from u's decay and A's smallest pivot. ``_sample_values`` reads
-    u, a quadrature-valued one in batches that do not grow with N q.
+    prod c / (t (1 - t)). A point on the cube's boundary, or with y^T A y
+    past the span S where _forward_kernel stops too, contributes 0. Each
+    y^T A y is built from A.entries in two passes, (y A) . y, never from A's
+    determinant, Cholesky factor or the polar reduction. The scale c moves
+    only the variance, never the mean; it is sized from u's decay and A's
+    smallest pivot. ``_sample_values`` reads u, a quadrature-valued one only
+    below S and in batches that do not grow with N q.
 
     Returns (estimate, standard_error): the mean of the q shift means, and
     the standard error of that mean combined in quadrature with
@@ -229,8 +225,10 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     m = min((cfg.mc_samples // _LATTICE_SHIFTS).bit_length() - 1, _LATTICE_M_MAX)
     N = 1 << m
     q = cfg.mc_samples // N
-    c = _LOGISTIC_KAPPA * math.sqrt(_decay_span(u, x, _LOGISTIC_DECAY)
+    value = u(x)
+    c = _LOGISTIC_KAPPA * math.sqrt(_decay_span(u, x, value, _LOGISTIC_DECAY)
                                     / (-math.log(_LOGISTIC_DECAY) * A.min_pivot))
+    span = _decay_span(u, x, value, CUTOFF_EPSILON)
 
     # Coordinates run along rows. A point k z / N and a shift are multiples
     # of 2^-53 in [0, 1), so t is one in [0, 1) too: 0 is its only boundary.
@@ -255,7 +253,8 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     form = form.sum(axis=0)
     form *= c * c
     del t, logit  # freed before u is sampled, which needs the memory
-    weight *= _sample_values(u, form, x, cfg)
+    weight *= _sample_values(u, form, x, span, cfg)
+    weight[form > span] = 0.0
     means = weight.reshape(q, N).mean(axis=1)
     estimate = float(np.mean(means))
     shift_error = float(np.std(means, ddof=1)) / math.sqrt(q)

@@ -239,6 +239,16 @@ def test_selftest_runs_every_check_at_its_limit(capsys):
     assert summary.startswith("selftest: 15/15 passed")
 
 
+def test_selftest_exits_one_on_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda cfg: iter([("holds", 0.5, 1.0), ("breaks", 2.0, 1.0)]))
+    assert main(["selftest"]) == 1
+    passing, failing, summary = capsys.readouterr().out.splitlines()
+    assert passing.startswith("PASS holds ")
+    assert failing.startswith("FAIL breaks ")
+    assert summary.startswith("selftest: 1/2 passed")
+
+
 def test_seed_env_var_and_flag_precedence():
     # --seed is the only seed input; the environment has no say.
     base = run_cli("selftest", "--mc-samples", "200000")

@@ -404,24 +404,33 @@ def test_proxied_quadform_mc_agrees_with_direct_route(f, A):
         assert abs(se - want_se) <= 1e-10 * abs(want_est)
 
 
+def _recording_samples(monkeypatch):
+    """(forms, x, span, values) of each _sample_values call, as a list."""
+    seen, sample_values = [], forward_verifier._sample_values
+
+    def recording(u, forms, x, span, cfg):
+        vals = sample_values(u, forms, x, span, cfg)
+        seen.append((forms, x, span, vals))
+        return vals
+
+    monkeypatch.setattr(forward_verifier, "_sample_values", recording)
+    return seen
+
+
 @BUILT_INS
 def test_proxy_holds_at_every_sample(f, monkeypatch):
     # The runtime check reads only the first 256 samples; this reads all.
     A = PROXY_MATRICES[1]
     u = solve_quadform(f, A, PROXY_CFG)
-    seen, sample_values = [], forward_verifier._sample_values
-
-    def recording(u, forms, x, cfg):
-        vals = sample_values(u, forms, x, cfg)
-        seen.append((forms, x, vals))
-        return vals
-
-    monkeypatch.setattr(forward_verifier, "_sample_values", recording)
+    seen = _recording_samples(monkeypatch)
     for x in (-1.0, 0.3):
         forward_quadform_mc(u, A, x, PROXY_CFG)
     assert len(seen) == 2
-    for forms, x, vals in seen:
-        direct = u.evaluate(x - forms)
+    for forms, x, span, vals in seen:
+        inside = forms <= span
+        assert np.all(vals[~inside] == 0.0)
+        vals = vals[inside]
+        direct = u.evaluate(x - forms[inside])
         # A proxy that failed its check would return these values bit for bit.
         assert not np.array_equal(vals, direct)
         assert np.max(np.abs(vals - direct)) <= PROXY_CFG.tol * np.max(np.abs(direct))
@@ -453,37 +462,35 @@ KINKED = CallableFunction(lambda x: np.exp(np.minimum(x, -0.5)),
 
 def test_proxy_failing_its_check_falls_back_to_direct_values(monkeypatch):
     u, sizes = _counting(KINKED, marked=True)
-    forms, sample_values = [], forward_verifier._sample_values
-    monkeypatch.setattr(forward_verifier, "_sample_values",
-                        lambda u, fm, x, cfg: forms.append(fm) or sample_values(u, fm, x, cfg))
+    seen = _recording_samples(monkeypatch)
     block = forward_verifier._DIRECT_BLOCK
     for A in PROXY_MATRICES:
         for x in (-0.3, 0.3):
             want = forward_quadform_mc(_direct(KINKED), A, x, PROXY_CFG)
             sizes.clear()
             assert forward_quadform_mc(u, A, x, PROXY_CFG) == want
-            cap = forward_verifier._decay_span(KINKED, x, CUTOFF_EPSILON)
-            inside = int(np.sum(forms[-1] <= cap))
-            past_blocks = -(-(LATTICE_SAMPLES - inside) // block)
-            # u(x) twice, the nodes, the samples past the cap, the checks;
-            # then the samples below the cap again, in blocks.
-            assert sizes[:3] == [1, 1, 129] and sizes[3 + past_blocks] == 256
-            fallback = sizes[4 + past_blocks:]
-            assert max(fallback) <= block and sum(fallback) == inside
+            forms, _, span, _ = seen[-1]
+            # u(x), the nodes, the checks; then the samples below the span
+            # again, in blocks, and none past it.
+            assert sizes[:3] == [1, 129, 256]
+            fallback = sizes[3:]
+            assert max(fallback) <= block and sum(fallback) == np.sum(forms <= span)
 
 
-def test_no_direct_read_grows_with_the_sample_count():
+def test_no_direct_read_grows_with_the_sample_count(monkeypatch):
     # Past the proxy's 129 nodes and 256 checks, no call of u sees more than
     # _DIRECT_BLOCK samples, though the proxy fails and N q is 12 blocks.
     u, sizes = _counting(KINKED, marked=True)
+    seen = _recording_samples(monkeypatch)
     cfg = QuadratureConfig(mc_samples=50_000)
     forward_quadform_mc(u, PROXY_MATRICES[1], 0.3, cfg)
-    assert sizes[:3] == [1, 1, 129]
+    assert sizes[:3] == [1, 129, 256]
     direct = sizes[3:]
-    direct.remove(256)
     assert max(direct) <= forward_verifier._DIRECT_BLOCK
-    # The samples past the cap once, those below it once more.
-    assert sum(direct) == 49152
+    # The samples below the span once, those past it never.
+    forms, _, span, _ = seen[0]
+    assert forms.size == 49152
+    assert sum(direct) == np.sum(forms <= span) < forms.size
 
 
 @pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
@@ -491,38 +498,58 @@ def test_no_direct_read_grows_with_the_sample_count():
 def test_proxy_bounds_evaluations_per_probe(f, marked, monkeypatch):
     A = PROXY_MATRICES[1]
     u, sizes = _counting(solve_quadform(f, A, PROXY_CFG), marked)
-    forms, sample_values = [], forward_verifier._sample_values
-    monkeypatch.setattr(forward_verifier, "_sample_values",
-                        lambda u, fm, x, cfg: forms.append(fm) or sample_values(u, fm, x, cfg))
+    seen = _recording_samples(monkeypatch)
     for x in (-1.0, 0.3):
         sizes.clear()
         forward_quadform_mc(u, A, x, PROXY_CFG)
-        seen = list(sizes)
-        # The first evaluation is u(x) alone, which sizes the logistic map.
-        assert seen[0] == 1
+        forms, _, span, _ = seen[-1]
+        past = int(np.sum(forms > span))
+        assert 0 < past < 0.1 * LATTICE_SAMPLES
+        # u(x) alone, which sizes the logistic map and the span; then the
+        # proxy's nodes and the checks, or every sample in one call.
         if marked:
-            # u(x) for the cap, the proxy's nodes, the samples past the cap
-            # and the checks.
-            cap = forward_verifier._decay_span(u, x, CUTOFF_EPSILON)
-            past = int(np.sum(forms[-1] > cap))
-            assert 0 < past < 0.1 * LATTICE_SAMPLES
-            assert seen[1:] == [1, 129, past, 256]
+            assert sizes == [1, 129, 256]
         else:
-            assert seen[1:] == [LATTICE_SAMPLES]
+            assert sizes == [1, LATTICE_SAMPLES]
 
 
-def test_samples_past_the_cap_go_direct_in_blocks(monkeypatch):
+@BUILT_INS
+def test_quadform_mc_reads_u_only_inside_the_span(f, monkeypatch):
+    # The lattice rule truncates where _forward_kernel does: a quadrature-
+    # valued u is read at x once and otherwise only at x - form with
+    # form <= S, the 129 proxy nodes included.
     A = PROXY_MATRICES[1]
-    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked=True)
-    want = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
-    past = sizes[3]
-    assert past > 64
-    monkeypatch.setattr(forward_verifier, "_DIRECT_BLOCK", 64)
-    sizes.clear()
-    got = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
-    remainder = [past % 64] if past % 64 else []
-    assert sizes == [1, 1, 129] + [64] * (past // 64) + remainder + [256]
-    assert got == want
+    solution = solve_quadform(f, A, PROXY_CFG)
+    points = []
+
+    def evaluate(xs):
+        points.append(np.array(xs, dtype=float, ndmin=1))
+        return solution.evaluate(xs)
+
+    u = CallableFunction(evaluate, tail_bound=solution.tail_bound, label="recorded")
+    u.quadrature_valued = True
+    seen = _recording_samples(monkeypatch)
+    for x in (-1.0, 0.3):
+        points.clear()
+        forward_quadform_mc(u, A, x, PROXY_CFG)
+        span = forward_verifier._decay_span(solution, x, solution(x), CUTOFF_EPSILON)
+        forms = seen[-1][0]
+        assert seen[-1][2] == span and np.any(forms > span)
+        assert sum(np.array_equal(p, [x]) for p in points) == 1
+        assert all(np.all(p >= x - span) for p in points)
+
+
+def test_elementwise_u_is_truncated_at_the_span_too(monkeypatch):
+    # exp(x) falls below CUTOFF_EPSILON = 1e-12 of u(0) = 1 left of -27.7, so
+    # NaN left of -28 lies past the span, and the lattice rule drops it.
+    exp = Exponential(1.0)
+    nan_far_left = CallableFunction(lambda x: np.where(x < -28.0, np.nan, np.exp(x)),
+                                    tail_bound=exp.tail_bound, label="nan_far_left")
+    seen = _recording_samples(monkeypatch)
+    for A in PROXY_MATRICES:
+        got = forward_quadform_mc(nan_far_left, A, 0.0, PROXY_CFG)
+        assert np.any(seen[-1][0] > 28.0)
+        assert got == forward_quadform_mc(exp, A, 0.0, PROXY_CFG)
 
 
 def test_error_on_proxy_nodes_keeps_its_class():

@@ -100,6 +100,31 @@ def test_weyl_convergence_error_carries_estimate(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         weyl_integral(Exponential(1.0), 0.5, 0.0, CFG)
     assert info.value.estimate is not None
+    # One level leaves nothing to compare it with.
+    assert np.isnan(info.value.error_estimate)
+
+
+def test_convergence_error_reports_the_last_two_levels(monkeypatch):
+    # A kink at 0.3 keeps one and two panels apart, far beyond cfg.tol.
+    def integrand(s):
+        return np.sqrt(np.abs(s - 0.3))
+
+    uppers = np.array([1.0, 2.0])
+    levels = [uppers * (integrand(uppers[:, None] * nodes) @ weights)
+              for nodes, weights in map(_quad._unit_rule, (1, 2))]
+    monkeypatch.setattr(_quad, "MAX_PANELS", 2)
+    with pytest.raises(ConvergenceError) as info:
+        _quad.integrate_batch(integrand, uppers, CFG)
+    assert info.value.error_estimate == np.max(np.abs(levels[1] - levels[0])) > 0.0
+    assert np.array_equal(info.value.estimate, levels[1])
+
+
+def test_convergence_error_at_the_panel_cap_is_nonzero():
+    kinked = CallableFunction(lambda x: np.exp(x) * np.sqrt(np.abs(x + 0.5)),
+                              tail_bound=Exponential(1.0).tail_bound)
+    with pytest.raises(ConvergenceError, match="4096 panels") as info:
+        weyl_integral(kinked, 0.5, 0.0, CFG)
+    assert 0.0 < info.value.error_estimate < 1e-3
 
 
 BUILTINS = [Exponential(1.3), GaussTail(1.2, 0.3), ShiftedGaussian(0.8, -0.2)]
@@ -148,10 +173,16 @@ def test_eigenfunction_law_property():
     xs = np.linspace(-2.0, 2.0, 20)
     for lam in (0.5, 1.0, 2.0, 4.0):
         f = Exponential(lam)
-        for nu in (0.5, 1.5, 2.5):
+        # Negative orders are fractional integrals: lam^nu e^(lam x) still.
+        for nu in (-1.0, -0.75, -0.5, -0.25, 0.5, 1.5, 2.5):
             got = frac_derivative(f, nu, xs, CFG)
             want = lam ** nu * np.exp(lam * xs)
             assert rel_error(got, want) < 1e-7
+
+
+def test_negative_order_is_the_weyl_integral():
+    f, xs = GaussTail(1.0, 0.0), np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(frac_derivative(f, -0.5, xs, CFG), weyl_integral(f, 0.5, xs, CFG))
 
 
 def test_semigroup_property(family):

@@ -1,7 +1,9 @@
-"""Smoke test: the lattice-vector search still imports the module's
-constants and reproduces a small vector."""
+"""Smoke tests of the tools: the lattice-vector search still imports the
+module's constants and reproduces a small vector, and the deck comparison
+judges hand-made records (it never runs the decks here)."""
 
 import importlib.util
+import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -21,3 +23,37 @@ def test_lattice_vector_search_is_deterministic():
     assert len(z) == len(quality) == 3
     assert z[0] == 1
     assert all(component % 2 == 1 for component in z)
+
+
+def _record(rc=0, forwards=(1.0, 2.0), stderr="PASS\n"):
+    """One op's record as the deck comparison sees it: a quadform verify
+    report with SE 0.1 at every probe."""
+    rows = [{"x": 0.0, "f": 1.0, "forward": value, "residual": 0.0} for value in forwards]
+    stdout = json.dumps({"rows": rows, "std_errors": [0.1] * len(rows)})
+    return {"rc": rc, "stdout": stdout, "stderr": stderr}
+
+
+def test_deck_diff_comparison():
+    compare = _load("deck_diff").compare
+    ops = [{"workload": "verify", "variant": "quadform", "name": "q"},
+           {"workload": "verify", "variant": "classic", "name": "c"},
+           {"workload": "solve_grid", "variant": "power", "name": "s"}]
+    parent = [_record(), _record(), _record()]
+
+    assert compare(ops, parent, list(parent)) == (
+        ["verify: 2 ops compared, 2 byte-identical",
+         "solve_grid: 1 ops compared, 1 byte-identical"], True)
+
+    # A quadform estimate may move: the report gives its shift in SEs.
+    shifted = [_record(forwards=(1.0, 2.00005), stderr="PASS, last digits\n")] + parent[1:]
+    lines, ok = compare(ops, parent, shifted)
+    assert ok and lines[:2] == ["verify: 2 ops compared, 1 byte-identical",
+                                "  q: max |dforward|/SE = 0.0005"]
+
+    # Any other op must stay byte-identical.
+    lines, ok = compare(ops, parent, parent[:2] + [_record(stderr="PASS, other\n")])
+    assert not ok and lines[-1] == "  s: stdout or stderr differs"
+
+    # No op may change its exit code, a quadform one included.
+    lines, ok = compare(ops, parent, [_record(rc=1)] + parent[1:])
+    assert not ok and lines[1] == "  q: exit code 0 -> 1"

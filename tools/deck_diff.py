@@ -1,0 +1,147 @@
+"""Compare two fraclamb source trees op by op over the benchmark decks.
+
+Run from the root of a checkout, with the ``src`` directories of the two
+trees to compare:
+
+    python3 tools/deck_diff.py PARENT_SRC CHANGE_SRC
+
+The ``verify`` and ``solve_grid`` decks of ``bench/workloads.py`` are built
+at each seed in SEEDS, with their matrix files in a temporary directory.
+Every op runs once per tree, through ``fraclamb.cli.main`` in one
+subprocess per tree and deck, with that tree's ``src`` first on
+``sys.path``; a fraclamb imported from anywhere else is refused.
+
+Per workload it prints how many ops were compared and how many gave
+byte-identical exit code, stdout and stderr, then one line per op that
+differs. For a quadform ``verify`` op that line gives the largest
+|change in forward| / SE over its probes, the SE being the parent's; a
+quadform estimate may move within its standard error. The exit code is 1
+if any op's exit code differs, or any other op's stdout or stderr does,
+and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+SEEDS = (1, 7, 17)
+
+# Runs the argv lists read from stdin through one tree's cli.main and writes
+# one record per op to stdout as JSON.
+_WORKER = r"""
+import contextlib, io, json, os, sys, traceback
+src = os.path.abspath(sys.argv[1])
+sys.path.insert(0, src)
+from fraclamb import cli
+if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+    sys.exit(f"imported fraclamb from {cli.__file__}, not from {src}")
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 2
+        except Exception:
+            rc = "crash: " + traceback.format_exc().strip().splitlines()[-1]
+    records.append({"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()})
+json.dump(records, sys.stdout)
+"""
+
+
+def _run(src: str, argvs: list, workdir: str) -> list:
+    """One record per argv: the tree's exit code, stdout and stderr."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, "-c", _WORKER, src], input=json.dumps(argvs),
+                          capture_output=True, text=True, cwd=workdir, env=env)
+    if proc.returncode != 0:
+        raise SystemExit(f"deck_diff: {src}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout)
+
+
+def _digest(record: dict) -> dict:
+    """The record with its stdout replaced by a hash, equal where the text is."""
+    return dict(record, stdout=hashlib.sha256(record["stdout"].encode()).hexdigest())
+
+
+def _forward_shift(old: dict, new: dict) -> float:
+    """Largest |change in forward| / parent SE over a quadform op's probes;
+    nan where either stdout is not a JSON report of the same probes."""
+    try:
+        a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
+        shifts = [abs(rb["forward"] - ra["forward"]) / se
+                  for ra, rb, se in zip(a["rows"], b["rows"], a["std_errors"], strict=True)]
+    except (ValueError, KeyError, TypeError, ZeroDivisionError):
+        return math.nan
+    return max(shifts, default=0.0)
+
+
+def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
+    """The report's lines, and whether the change keeps every exit code and
+    every non-quadform op's stdout and stderr.
+
+    ``ops`` holds one dict per op with its ``workload``, ``variant`` and a
+    ``name`` for the report; ``parent`` and ``change`` hold each op's record,
+    a dict of its ``rc``, ``stdout`` and ``stderr``.
+    """
+    ok, tallies = True, {}
+    for op, old, new in zip(ops, parent, change, strict=True):
+        tally = tallies.setdefault(op["workload"], {"ops": 0, "same": 0, "notes": []})
+        tally["ops"] += 1
+        if old == new:
+            tally["same"] += 1
+        elif old["rc"] != new["rc"]:
+            ok = False
+            tally["notes"].append(f"  {op['name']}: exit code {old['rc']} -> {new['rc']}")
+        elif op["variant"] != "quadform":
+            ok = False
+            tally["notes"].append(f"  {op['name']}: stdout or stderr differs")
+        else:
+            shift = _forward_shift(old, new)
+            tally["notes"].append(f"  {op['name']}: max |dforward|/SE = {shift:.3g}")
+    lines = []
+    for workload, tally in tallies.items():
+        lines.append(f"{workload}: {tally['ops']} ops compared, {tally['same']} byte-identical")
+        lines += tally["notes"]
+    return lines, ok
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/deck_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent_src, change_src = map(os.path.abspath, args)
+    sys.path.insert(0, BENCH_DIR)
+    import workloads
+
+    ops, parent, change = [], [], []
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload in workloads.WORKLOADS:
+            for seed in SEEDS:
+                deck = workloads.build_deck(workload, seed, os.path.join(workdir, f"{workload}_{seed}"))
+                argvs = [list(draw.argv) for draw in deck]
+                runs = [_run(src, argvs, workdir) for src in (parent_src, change_src)]
+                for draw, old, new in zip(deck, *runs, strict=True):
+                    ops.append({"workload": workload, "variant": draw.variant,
+                                "name": f"seed {seed} op {draw.index} ({draw.variant})"})
+                    # Only a quadform op's stdout is read past its hash.
+                    keep = (lambda r: r) if draw.variant == "quadform" else _digest
+                    parent.append(keep(old))
+                    change.append(keep(new))
+    lines, ok = compare(ops, parent, change)
+    print("\n".join(lines))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
