@@ -38,8 +38,8 @@ import numpy as np
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
-from .function_model import (CUTOFF_EPSILON, SmoothFunction, check_finite, check_window,
-                             effective_lower_cutoff)
+from .function_model import (CUTOFF_EPSILON, SmoothFunction, _chop, _clenshaw,
+                             check_finite, check_window, effective_lower_cutoff)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -127,25 +127,6 @@ def _probe_rng(seed: int, x: float) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
-    place over preallocated buffers instead of three new arrays per term."""
-    if coef.size == 1:
-        coef = np.append(coef, 0.0)
-    x2 = 2.0 * t
-    c0 = np.full_like(t, coef[-2])
-    c1 = np.full_like(t, coef[-1])
-    spare = np.empty_like(t)
-    for ck in coef[-3::-1]:
-        np.subtract(ck, c1, out=spare)
-        c1 *= x2
-        c1 += c0
-        c0, spare = spare, c0
-    c1 *= t
-    c1 += c0
-    return c1
-
-
 def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
                    cfg: QuadratureConfig) -> np.ndarray:
     """u(x - form) at the samples' quadratic forms, all of them >= 0, as a
@@ -167,9 +148,8 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
         return u.evaluate(x - forms)
     proxy = np.polynomial.Chebyshev.interpolate(
         lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
-    # A NaN level marks no coefficient small, so a NaN is kept to fail the check.
-    small = np.abs(proxy.coef) <= _PROXY_CHOP * np.max(np.abs(proxy.coef))
-    coef = proxy.coef[:proxy.coef.size - np.argmin(small[::-1])]
+    # A NaN is kept by the chop, to fail the check.
+    coef = _chop(proxy.coef, _PROXY_CHOP)
     inside = forms <= span
     vals = np.zeros_like(forms)
     # The proxy's own map of [0, sqrt(span)] onto [-1, 1].

@@ -70,7 +70,9 @@ class SmoothFunction:
     ``quadrature_valued`` is True when every value costs a quadrature of
     its own (a Weyl integral) while the function stays smooth, so a
     caller that needs many values may interpolate it and check the
-    interpolant against direct values.
+    interpolant against direct values: ``sample`` reads a dense grid off
+    checked Chebyshev series on fixed panels, and the quadratic-form
+    certificate reads its samples off one checked series per probe.
 
     Instances are immutable after construction and safe to share across
     threads for read-only evaluation.
@@ -243,6 +245,32 @@ def _horner(x, coeffs: np.ndarray):
         out *= x
         out += a
     return out
+
+
+def _chop(coef: np.ndarray, level: float) -> np.ndarray:
+    """coef without its trailing run of coefficients at most level * max|c|.
+    A NaN marks no coefficient small, so a NaN is kept."""
+    small = np.abs(coef) <= level * np.max(np.abs(coef))
+    return coef[:coef.size - np.argmin(small[::-1])]
+
+
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
+    place over preallocated buffers instead of three new arrays per term."""
+    if coef.size == 1:
+        coef = np.append(coef, 0.0)
+    x2 = 2.0 * t
+    c0 = np.full_like(t, coef[-2])
+    c1 = np.full_like(t, coef[-1])
+    spare = np.empty_like(t)
+    for ck in coef[-3::-1]:
+        np.subtract(ck, c1, out=spare)
+        c1 *= x2
+        c1 += c0
+        c0, spare = spare, c0
+    c1 *= t
+    c1 += c0
+    return c1
 
 
 class GaussTail(_ExponentialTail):
@@ -540,14 +568,15 @@ class GridFunction:
         return self.x_start + np.arange(self.values.size) * self.x_step
 
     def to_csv(self) -> str:
-        rows = zip(self.nodes.tolist(), self.values.tolist())
-        return "x,value\n" + "".join(["%.17g,%.17g\n" % row for row in rows])
+        # One %-format over the interleaved (x, value) floats of every row.
+        flat = np.column_stack((self.nodes, self.values)).ravel().tolist()
+        return "x,value\n" + ("%.17g,%.17g\n" * self.values.size) % tuple(flat)
 
     def to_json(self) -> str:
         return json.dumps({
             "x_start": self.x_start,
             "x_step": self.x_step,
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
         })
 
 
@@ -568,8 +597,112 @@ def check_finite(label: str, xs, values) -> None:
         raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
 
 
+# Grid panels for a quadrature-valued f in sample. Panel k is
+# [k _PANEL_WIDTH, (k + 1) _PANEL_WIDTH), a power of two wide so that
+# floor(x / _PANEL_WIDTH) is exact. Its series lives on the part of the
+# panel inside the window and interpolates f there at the _PANEL_DEGREE + 1
+# Chebyshev points of the second kind, read in one batch with the fixed
+# check points (midpoints in angle between nodes, near both ends and
+# inside). The series stands when at least _PANEL_TAIL trailing
+# coefficients are at most _PANEL_CHOP of the largest (they are then
+# dropped), the rest is within _PANEL_CHECK * max|f| of f at the check
+# points, and f does not keep one sign at the nodes while |f| spans more
+# than a factor 1 / _PANEL_RANGE. Of the chops 1e-13, 1e-14 and 3e-15, the
+# last kept the most certified digits on solve_grid, with no panel there
+# left unresolved. The series' error is about 6e-16 of max|f| on the panel
+# whatever the chop, so the range bound keeps a one-signed value's
+# relative error below about 6e-16 / _PANEL_RANGE, where direct values
+# keep theirs near eps; near a zero of f neither route is relatively
+# accurate.
+_PANEL_WIDTH = 1.0
+_PANEL_DEGREE = 128
+_PANEL_NODES = np.sin(np.pi * np.arange(_PANEL_DEGREE, -_PANEL_DEGREE - 1, -2)
+                      / (2 * _PANEL_DEGREE))
+_PANEL_CHECKS = np.cos(np.pi * np.array([0.5, 42.5, 85.5, 127.5]) / _PANEL_DEGREE)
+_PANEL_POINTS = np.concatenate([_PANEL_NODES, _PANEL_CHECKS])
+_PANEL_CHOP = 3e-15
+_PANEL_TAIL = 16
+_PANEL_CHECK = 1e-11
+_PANEL_RANGE = 1e-2
+# A panel with fewer grid points than this is read directly: its series
+# would cost more reads of f than the points themselves.
+_PANEL_COST = _PANEL_POINTS.size
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through values at
+    cos(pi j / N), j = 0..N: the DCT-I of values, as the real FFT of their
+    even extension."""
+    n = values.size - 1
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    coef[0] /= 2.0
+    coef[-1] /= 2.0
+    return coef
+
+
+def _panel_values(f: SmoothFunction, lo: float, hi: float, xs: np.ndarray):
+    """f at the points xs of [lo, hi], read off the checked Chebyshev series
+    of f on [lo, hi], or None where the series does not stand: reading f at
+    its nodes and checks raises FracLambError or gives a value that is not
+    finite, f keeps one sign there while |f| spans more than a factor
+    1 / _PANEL_RANGE, the series is unresolved, or its check fails (a NaN
+    fails it)."""
+    half = 0.5 * (hi - lo)
+    points = lo + (_PANEL_POINTS + 1.0) * half
+    try:
+        direct = np.asarray(f.evaluate(points), dtype=float)
+    except FracLambError:
+        return None
+    if not np.isfinite(direct).all():
+        return None
+    scale = np.abs(direct)
+    if ((np.min(direct) > 0.0 or np.max(direct) < 0.0)
+            and np.min(scale) < _PANEL_RANGE * np.max(scale)):
+        return None
+    n = _PANEL_NODES.size
+    full = _cheb_coeffs(direct[:n])
+    coef = _chop(full, _PANEL_CHOP)
+    if full.size - coef.size < _PANEL_TAIL:
+        return None
+    # The grid points and the checks, mapped onto [-1, 1] alike.
+    t = np.concatenate([xs, points[n:]])
+    t -= lo
+    t /= half
+    t -= 1.0
+    series = _clenshaw(coef, t)
+    if not np.max(np.abs(series[xs.size:] - direct[n:])) <= _PANEL_CHECK * np.max(scale):
+        return None
+    return series[:xs.size]
+
+
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
+
+    A function that is not ``quadrature_valued`` is read at the nodes in
+    one call. A quadrature-valued one is read panel by panel, on the fixed
+    panels [k w, (k + 1) w), w = _PANEL_WIDTH. A panel holding at least
+    _PANEL_COST (133) nodes is read off a Chebyshev series on its part
+    inside the window, from the first node to the last: one call of f at
+    that part's 129 Chebyshev points and 4 check points, chopped and
+    checked (``_panel_values``). So f is read only inside the window, up
+    to rounding at its ends. Where that series does not stand, as where f
+    keeps one sign there while |f| spans more than a factor 100, the
+    panel's own nodes are read directly, in one call. The nodes of all
+    sparser panels are read together in one further call. So f is read at
+    no more than 2 * count points, and at no more than count when every
+    dense panel's series stands.
+
+    A value on a dense panel that lies wholly inside the window depends
+    only on its panel, f and f's config, not on the window or the count:
+    the same x gives the same float in two windows that both hold its
+    panel densely. A value on a panel the window cuts depends on the cut
+    too, and a value on a sparse panel shares its Weyl batch, and so its
+    cutoff, with the window's other sparse nodes. A series value is no
+    longer f(nodes) bit for bit; on the solve_grid decks the two differ by
+    at most 1.7e-11 relative. The check holds it to 1e-11 of max|f| on the
+    panel (_PANEL_CHECK) whatever the tol f was built with: a tol tighter
+    than that makes the values the series is built from more accurate,
+    but does not tighten the check.
 
     Raises:
         DomainError: a >= b, the width b - a overflows, or count is not an integer >= 2.
@@ -581,6 +714,29 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
         raise DomainError(f"count must be >= 2, got {count}")
     step = (b - a) / (count - 1)
     nodes = a + np.arange(count) * step
-    values = np.asarray(f(nodes), dtype=float)
+    if f.quadrature_valued:
+        values = _sample_panels(f, nodes)
+    else:
+        values = np.asarray(f(nodes), dtype=float)
     check_finite(f.label, nodes, values)
     return GridFunction(x_start=a, x_step=step, values=values)
+
+
+def _sample_panels(f: SmoothFunction, nodes: np.ndarray) -> np.ndarray:
+    """f at the ascending nodes, panel by panel, as sample describes."""
+    values = np.empty_like(nodes)
+    panel = np.floor(nodes / _PANEL_WIDTH)
+    starts = np.flatnonzero(np.diff(panel, prepend=-np.inf))
+    ends = np.append(starts[1:], nodes.size)
+    dense = ends - starts >= _PANEL_COST
+    sparse = np.ones(nodes.size, dtype=bool)
+    for i, j in zip(starts[dense], ends[dense]):
+        xs = nodes[i:j]
+        left = panel[i] * _PANEL_WIDTH
+        lo, hi = max(left, nodes[0]), min(left + _PANEL_WIDTH, nodes[-1])
+        vals = _panel_values(f, lo, hi, xs)
+        values[i:j] = f.evaluate(xs) if vals is None else vals
+        sparse[i:j] = False
+    if sparse.any():
+        values[sparse] = f.evaluate(nodes[sparse])
+    return values

@@ -172,6 +172,20 @@ def test_large_x_window_is_not_an_overflow(capsys):
     assert "PASS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, count", [("700:709.5", 5), ("708.9:709.5", 601)])
+def test_window_whose_panel_nodes_overflow_solves(window, count, capsys):
+    # Every grid value is finite, though e^x overflows at 710, the end of
+    # the panel [709, 710): 601 points make that panel dense, and its series
+    # is built on [709, 709.5] alone. The 5 points span 5 decades in one
+    # Weyl batch, whose tol is relative to the largest.
+    assert main(["solve", "--variant", "classic", "--function", "exp",
+                 "--window", window, "--count", str(count)]) == 0
+    grid = read_csv(capsys.readouterr().out)
+    want = 2.0 / math.sqrt(math.pi) * np.exp(grid.nodes)
+    assert grid.values.size == count
+    assert np.max(np.abs(grid.values / want - 1.0)) < 1e-8
+
+
 def test_verify_pass_and_threshold_failure():
     ok = run_cli("verify", "--variant", "classic", "--function",
                  "exp:lambda=1", "--window", "-2:2", "--probes", "9")

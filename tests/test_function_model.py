@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraclamb import (
+    CallableFunction,
     DomainError,
     Exponential,
     FracLambError,
@@ -19,12 +20,15 @@ from fraclamb import (
     effective_lower_cutoff,
     materialize,
     sample,
+    solve_classic,
+    solve_ndim,
+    solve_power,
     solve_problem,
 )
 from fraclamb.fractional_ops import derivative_view
 from fraclamb.forward_verifier import ResidualReport
 from fraclamb.function_model import (BUILTIN_ORDER, _hermite_coeffs, _horner, _logistic_poly,
-                                     _sigmoid)
+                                     _panel_values, _sigmoid)
 from fraclamb.special_functions import gamma
 from conftest import combination, read_csv, rel_error
 
@@ -464,3 +468,153 @@ def test_csv_writers_match_the_row_by_row_formatter():
     want = "".join(["x,f,forward,residual\n"] + [
         f"{x:.17g},{fx:.17g},{fwd:.17g},{res:.17g}\n" for x, fx, fwd, res in rows])
     assert report.to_csv() == want
+
+
+# ---------------------------------------------------------------------------
+# Grid panels for quadrature-valued solutions
+# ---------------------------------------------------------------------------
+
+def _recorded(u):
+    """u behind a wrapper that keeps a copy of every array it is read at,
+    and the list of them."""
+    reads = []
+
+    def evaluate(x):
+        reads.append(np.array(x, dtype=float))
+        return u.evaluate(x)
+
+    wrapped = CallableFunction(evaluate, label=u.label)
+    wrapped.quadrature_valued = True
+    return wrapped, reads
+
+
+def _panels_read_directly(u, grid):
+    """Each unit panel's grid values as u gives them in one call per panel."""
+    nodes, want = grid.nodes, np.empty(grid.values.size)
+    panel = np.floor(nodes)
+    for k in np.unique(panel):
+        want[panel == k] = u.evaluate(nodes[panel == k])
+    return want
+
+
+def test_grid_value_does_not_depend_on_the_window():
+    # Both windows have step 0.001 exactly. Their series on [-3.75, -3] and
+    # [-3, -2] are the same: the first panel is cut by both windows at
+    # -3.75, the second lies inside both. [-2, -1) is cut at -1.75 by the
+    # short window only. One Weyl batch over each whole window would take
+    # its cutoff from a larger max|f'| in the wide one.
+    u = solve_classic(GaussTail(1.1, 0.2))
+    short, wide = sample(u, -3.75, -1.75, 2001), sample(u, -3.75, 0.25, 4001)
+    assert short.x_step == wide.x_step
+    shared = short.nodes < -2.0
+    assert np.array_equal(short.values[shared], wide.values[:2001][shared])
+
+
+@pytest.mark.parametrize("solve, const, nu", [
+    (solve_classic, 2.0 / math.sqrt(math.pi), 0.5),
+    (lambda f: solve_power(f, 3), 1.0 / gamma(4.0 / 3.0), 1.0 / 3.0),
+    (lambda f: solve_ndim(f, 3), math.pi ** -1.5, 1.5),
+], ids=["classic", "power_m3", "ndim_n3"])
+def test_panel_route_is_no_less_accurate_than_the_direct_one(solve, const, nu):
+    u = solve(Exponential(1.5))
+    grid = sample(u, -3.0, 1.5, 2001)
+    exact = const * 1.5 ** nu * np.exp(1.5 * grid.nodes)
+    panel_error = np.max(np.abs(grid.values - exact) / exact)
+    direct_error = np.max(np.abs(u(grid.nodes) - exact) / exact)
+    # Each panel takes its cutoff from its own scale, not the window's.
+    assert panel_error < direct_error
+
+
+@pytest.mark.parametrize("b", [0.25, 2.0])
+def test_steep_panel_is_no_less_accurate_than_the_direct_route(b):
+    # |u| spans e^5 on [0, 0.25] and e^20 on [0, 1]: a series would lose
+    # that factor in relative accuracy at the panel's low end, so both
+    # panels are read directly. On [0, 2] each panel is its own batch,
+    # where one batch over the window takes its cutoff from e^40.
+    u = solve_classic(Exponential(20.0))
+    grid = sample(u, 0.0, b, 301)
+    exact = 2.0 / math.sqrt(math.pi) * math.sqrt(20.0) * np.exp(20.0 * grid.nodes)
+    panel_error = np.max(np.abs(grid.values - exact) / exact)
+    direct_error = np.max(np.abs(u(grid.nodes) - exact) / exact)
+    assert _panel_values(u, 0.0, min(b, 1.0), grid.nodes[grid.nodes < 1.0]) is None
+    assert panel_error <= direct_error
+    assert panel_error < 1e-13
+
+
+def test_panel_where_f_changes_sign_keeps_its_series():
+    # |e^x - 2| at the Chebyshev points of [0, 1] spans a factor 277, down
+    # to 3.6e-3 next to its zero at ln 2; no route is relatively accurate
+    # at a zero, so the series stands.
+    u = CallableFunction(lambda x: np.exp(x) - 2.0)
+    u.quadrature_valued = True
+    xs = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    values = _panel_values(u, 0.0, 1.0, xs)
+    assert values is not None
+    assert np.max(np.abs(values - (np.exp(xs) - 2.0))) < 1e-14
+
+
+def test_sample_never_reads_outside_the_window():
+    # The panels [-1, 0) and [0, 1) reach past both ends of the window.
+    u, reads = _recorded(solve_classic(Exponential(1.5)))
+    grid = sample(u, -0.6, 0.45, 1001)
+    assert len(reads) == 2
+    assert min(r.min() for r in reads) == grid.nodes[0]
+    assert max(r.max() for r in reads) == grid.nodes[-1]
+
+
+def test_unresolved_panel_is_read_directly():
+    # Degree 128 cannot resolve 2 + sin(400 x) on a unit panel.
+    u = CallableFunction(lambda x: 2.0 + np.sin(400.0 * x))
+    u.quadrature_valued = True
+    grid = sample(u, 0.0, 1.0, 1001)
+    assert _panel_values(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert np.array_equal(grid.values, _panels_read_directly(u, grid))
+
+
+def test_panel_that_fails_its_check_is_read_directly():
+    # e^x plus a term that vanishes at the Chebyshev points of [0, 1) and
+    # is 1e-6 between them: the series resolves, the check catches it.
+    def off_nodes(x, amplitude):
+        return np.exp(x) + amplitude * np.sin(128.0 * np.arccos(2.0 * x - 1.0))
+
+    u, exact = (CallableFunction(lambda x, a=a: off_nodes(x, a)) for a in (1e-6, 0.0))
+    u.quadrature_valued = exact.quadrature_valued = True
+    grid = sample(u, 0.0, 1.0, 1001)
+    assert _panel_values(exact, 0.0, 1.0, grid.nodes[:1000]) is not None
+    assert _panel_values(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert np.array_equal(grid.values, _panels_read_directly(u, grid))
+
+
+def test_panel_whose_series_read_raises_is_read_directly():
+    # u raises at x = 0.5, the middle Chebyshev point of [0, 1] and no
+    # grid point: the grid values are read directly, and all are finite.
+    def evaluate(x):
+        if np.any(x == 0.5):
+            raise FracLambError("not finite at x = 0.5")
+        return np.exp(x)
+
+    u = CallableFunction(evaluate)
+    u.quadrature_valued = True
+    grid = sample(u, 0.0, 1.0, 1000)
+    assert _panel_values(u, 0.0, 1.0, grid.nodes[:999]) is None
+    assert np.array_equal(grid.values, _panels_read_directly(u, grid))
+
+
+def test_sample_reads_no_more_than_twice_the_count():
+    # Every dense panel resolves: 133 reads per panel, at most count.
+    u, reads = _recorded(solve_classic(GaussTail(1.1, 0.2)))
+    sample(u, -3.0, 1.5, 2001)
+    assert sum(r.size for r in reads) <= 2001
+    # Every dense panel falls back: its series and its points, at most 2 count.
+    u, reads = _recorded(solve_classic(ShiftedGaussian(0.005)))
+    sample(u, -0.5, 0.5, 1001)
+    assert 1001 < sum(r.size for r in reads) <= 2 * 1001
+    # The CLI's default grid, 101 points on [-1, 1], has no dense panel.
+    u, reads = _recorded(solve_classic(GaussTail(1.1, 0.2)))
+    grid = sample(u, -1.0, 1.0, 101)
+    assert [r.size for r in reads] == [101]
+    assert np.array_equal(grid.values, u.evaluate(grid.nodes))
+    # One point per panel: read in one call, never a series per point.
+    u, reads = _recorded(CallableFunction(lambda x: np.exp(-x * 1e-17)))
+    sample(u, 0.0, 2e17, 20001)
+    assert [r.size for r in reads] == [20001]

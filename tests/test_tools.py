@@ -35,9 +35,9 @@ def _record(rc=0, forwards=(1.0, 2.0), stderr="PASS\n"):
 
 def test_deck_diff_comparison():
     compare = _load("deck_diff").compare
-    ops = [{"workload": "verify", "variant": "quadform", "name": "q"},
-           {"workload": "verify", "variant": "classic", "name": "c"},
-           {"workload": "solve_grid", "variant": "power", "name": "s"}]
+    ops = [{"workload": "verify", "variant": "quadform", "command": "verify", "name": "q"},
+           {"workload": "verify", "variant": "classic", "command": "verify", "name": "c"},
+           {"workload": "solve_grid", "variant": "power", "command": "solve", "name": "s"}]
     parent = [_record(), _record(), _record()]
 
     assert compare(ops, parent, list(parent)) == (
@@ -51,9 +51,38 @@ def test_deck_diff_comparison():
                                 "  q: max |dforward|/SE = 0.0005"]
 
     # Any other op must stay byte-identical.
-    lines, ok = compare(ops, parent, parent[:2] + [_record(stderr="PASS, other\n")])
-    assert not ok and lines[-1] == "  s: stdout or stderr differs"
+    lines, ok = compare(ops, parent, [parent[0], _record(stderr="PASS, other\n"), parent[2]])
+    assert not ok and lines[1] == "  c: stdout or stderr differs"
 
     # No op may change its exit code, a quadform one included.
     lines, ok = compare(ops, parent, [_record(rc=1)] + parent[1:])
     assert not ok and lines[1] == "  q: exit code 0 -> 1"
+
+
+def _grid(values, xs=(0.0, 0.5)):
+    """One solve op's record: an x,value CSV at 17 significant digits."""
+    rows = "".join("%.17g,%.17g\n" % row for row in zip(xs, values))
+    return {"rc": 0, "stdout": "x,value\n" + rows, "stderr": ""}
+
+
+def test_deck_diff_reports_how_far_solve_values_moved():
+    compare = _load("deck_diff").compare
+    ops = [{"workload": "solve_grid", "variant": "classic", "command": "solve", "name": "s"}]
+    parent = [_grid((1.0, -3.0))]
+
+    assert compare(ops, parent, [_grid((1.0, -3.0))]) == (
+        ["solve_grid: 1 ops compared, 1 byte-identical"], True)
+
+    # A solve op that moves is reported with its largest relative change,
+    # and still fails the comparison.
+    lines, ok = compare(ops, parent, [_grid((1.0, -3.0 * (1.0 + 1e-12)))])
+    assert not ok
+    assert lines == ["solve_grid: 1 ops compared, 0 byte-identical",
+                     "  s: max |dvalue|/|value| = 1e-12, x column identical"]
+
+    lines, ok = compare(ops, parent, [_grid((1.0, -3.0), xs=(0.0, 0.25))])
+    assert not ok and lines[1] == "  s: max |dvalue|/|value| = 0, x column differs"
+
+    # Same grid, other stderr: no value report.
+    lines, ok = compare(ops, parent, [dict(parent[0], stderr="warning\n")])
+    assert not ok and lines[1] == "  s: stdout or stderr differs"

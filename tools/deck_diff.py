@@ -15,9 +15,12 @@ Per workload it prints how many ops were compared and how many gave
 byte-identical exit code, stdout and stderr, then one line per op that
 differs. For a quadform ``verify`` op that line gives the largest
 |change in forward| / SE over its probes, the SE being the parent's; a
-quadform estimate may move within its standard error. The exit code is 1
-if any op's exit code differs, or any other op's stdout or stderr does,
-and 0 otherwise.
+quadform estimate may move within its standard error. For a ``solve`` op
+whose stdout differs it gives the largest |change in value| / |value| over
+the grid, the value being the parent's, and whether both trees wrote the
+same x column. The exit code is 1 if any op's exit code differs, or any
+other op's stdout or stderr does, a ``solve`` op's included, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -85,13 +88,32 @@ def _forward_shift(old: dict, new: dict) -> float:
     return max(shifts, default=0.0)
 
 
+def _value_shift(old: dict, new: dict) -> tuple[float, bool]:
+    """Largest |change in value| / |value| over a solve op's grid, the value
+    being the parent's, and whether the x columns are the same text; (nan,
+    False) where either stdout is not an x,value CSV of the same size."""
+    try:
+        a, b = ([line.split(",") for line in r["stdout"].splitlines()] for r in (old, new))
+        if a[0] != ["x", "value"] or b[0] != ["x", "value"] or len(a) != len(b):
+            return math.nan, False
+        same_x = all(ra[0] == rb[0] for ra, rb in zip(a, b))
+        shifts = []
+        for (_, va), (_, vb) in zip(a[1:], b[1:]):
+            va, vb = float(va), float(vb)
+            shifts.append(0.0 if va == vb else abs(vb - va) / abs(va) if va else math.inf)
+    except (ValueError, IndexError):
+        return math.nan, False
+    return max(shifts, default=0.0), same_x
+
+
 def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
     """The report's lines, and whether the change keeps every exit code and
     every non-quadform op's stdout and stderr.
 
-    ``ops`` holds one dict per op with its ``workload``, ``variant`` and a
-    ``name`` for the report; ``parent`` and ``change`` hold each op's record,
-    a dict of its ``rc``, ``stdout`` and ``stderr``.
+    ``ops`` holds one dict per op with its ``workload``, ``variant``,
+    ``command`` (the subcommand) and a ``name`` for the report; ``parent``
+    and ``change`` hold each op's record, a dict of its ``rc``, ``stdout``
+    and ``stderr``.
     """
     ok, tallies = True, {}
     for op, old, new in zip(ops, parent, change, strict=True):
@@ -102,6 +124,11 @@ def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
         elif old["rc"] != new["rc"]:
             ok = False
             tally["notes"].append(f"  {op['name']}: exit code {old['rc']} -> {new['rc']}")
+        elif op["command"] == "solve" and old["stdout"] != new["stdout"]:
+            ok = False
+            shift, same_x = _value_shift(old, new)
+            tally["notes"].append(f"  {op['name']}: max |dvalue|/|value| = {shift:.3g}, "
+                                  f"x column {'identical' if same_x else 'differs'}")
         elif op["variant"] != "quadform":
             ok = False
             tally["notes"].append(f"  {op['name']}: stdout or stderr differs")
@@ -133,9 +160,11 @@ def main(argv=None) -> int:
                 runs = [_run(src, argvs, workdir) for src in (parent_src, change_src)]
                 for draw, old, new in zip(deck, *runs, strict=True):
                     ops.append({"workload": workload, "variant": draw.variant,
+                                "command": draw.argv[0],
                                 "name": f"seed {seed} op {draw.index} ({draw.variant})"})
-                    # Only a quadform op's stdout is read past its hash.
-                    keep = (lambda r: r) if draw.variant == "quadform" else _digest
+                    # Only a quadform or solve op's stdout is read past its hash.
+                    raw = draw.variant == "quadform" or draw.argv[0] == "solve"
+                    keep = (lambda r: r) if raw else _digest
                     parent.append(keep(old))
                     change.append(keep(new))
     lines, ok = compare(ops, parent, change)
