@@ -24,7 +24,8 @@ a fixed seed and independent across probe points regardless of evaluation
 order; its standard error comes from the spread of the shifts. Every
 forward integral stops at u's decay span S (``_decay_span``). A
 quadrature-valued u (one Weyl integral per value) is never read past S, and
-below it off a checked Chebyshev interpolant (``_sample_values``).
+below it off one checked Chebyshev series per probe (``_sample_values``),
+built by the helper ``function_model.sample`` reads grids through.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
-from .function_model import (CUTOFF_EPSILON, SmoothFunction, _chop, _clenshaw,
+from .function_model import (CUTOFF_EPSILON, SmoothFunction, _checked_series, _relative_epsilon,
                              check_finite, check_window, effective_lower_cutoff)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
@@ -70,10 +71,9 @@ _LATTICE_SHIFTS = 16
 _LOGISTIC_KAPPA = 0.75
 _LOGISTIC_DECAY = 1e-8
 
-# Chebyshev proxy for a quadrature-valued u: its degree, the level below
-# which its trailing coefficients are dropped (relative to the largest), and
-# how many samples check it against direct values.
-_PROXY_DEGREE = 128
+# Chebyshev proxy for a quadrature-valued u: the level below which its
+# trailing coefficients are dropped (relative to the largest), and how many
+# samples check it against direct values.
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
 # Most samples per direct read of a quadrature-valued u, so that the Weyl
@@ -87,7 +87,7 @@ def _decay_span(u: SmoothFunction, x: float, value: float, epsilon: float) -> fl
     _decay_span(u, x, u(x), CUTOFF_EPSILON)."""
     value = float(value)
     check_finite(u.label, x, value)
-    L = effective_lower_cutoff(u, epsilon * (abs(value) or 1.0), value_only=True)
+    L = effective_lower_cutoff(u, _relative_epsilon(epsilon, abs(value)), value_only=True)
     return max(float(x) - L, 1e-12)
 
 
@@ -133,36 +133,32 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
     new array, for the caller to truncate past span. A u that is not
     quadrature-valued is evaluated at every sample in one call.
 
-    Otherwise u is never read past span, where the values are 0. Below it u
-    is read off the degree-_PROXY_DEGREE Chebyshev interpolant of
-    s -> u(x - s^2) on [0, sqrt(span)], from _PROXY_DEGREE + 1 direct
-    values, at s = sqrt(form); in s an exponential tail becomes a Gaussian,
-    which this degree resolves. Trailing coefficients below _PROXY_CHOP of
-    the largest are cut: max|c| <= 2 max|u|, so a value moves by at most
-    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the default
-    tol. The interpolant stands if it is within cfg.tol * max|u| of direct u
-    on _PROXY_CHECKS samples spread evenly below span (a NaN fails);
-    otherwise u is read at every sample below span, _DIRECT_BLOCK per call.
+    Otherwise u is never read past span, where the values are 0. Below it
+    u is read off the checked Chebyshev series (``_checked_series``) of
+    s -> u(x - min(s^2, span)) on [0, sqrt(span)], at s = sqrt(form); in s
+    an exponential tail becomes a Gaussian, which degree 128 resolves. Its
+    checks are _PROXY_CHECKS samples spread evenly below span, read in the
+    same call of u as the series' 129 nodes. The series stands if at least
+    16 trailing coefficients are below _PROXY_CHOP of the largest (they are
+    dropped: max|c| <= 2 max|u|, so a value moves by at most
+    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the
+    default tol) and it is within cfg.tol * max|u(checks)| of u at the
+    checks; otherwise u is read at every sample below span, _DIRECT_BLOCK
+    per call. With no sample below span, u is not read here at all.
     """
     if not u.quadrature_valued:
         return u.evaluate(x - forms)
-    proxy = np.polynomial.Chebyshev.interpolate(
-        lambda s: u.evaluate(x - s * s), _PROXY_DEGREE, domain=[0.0, math.sqrt(span)])
-    # A NaN is kept by the chop, to fail the check.
-    coef = _chop(proxy.coef, _PROXY_CHOP)
     inside = forms <= span
     vals = np.zeros_like(forms)
-    # The proxy's own map of [0, sqrt(span)] onto [-1, 1].
-    off, scl = proxy.mapparms()
+    if not inside.any():
+        return vals
     s = np.sqrt(forms[inside])
-    s *= scl
-    s += off
-    vals[inside] = _clenshaw(coef, s)
-    checked = np.flatnonzero(inside)
-    checked = checked[::max(1, checked.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
-    direct = u.evaluate(x - forms[checked])
-    if checked.size and not (np.max(np.abs(vals[checked] - direct))
-                             <= cfg.tol * np.max(np.abs(direct))):
+    checks = s[::max(1, s.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
+    got = _checked_series(lambda s: u.evaluate(x - np.minimum(s * s, span)),
+                          0.0, math.sqrt(span), checks, s, _PROXY_CHOP, cfg.tol)
+    if got is not None:
+        vals[inside] = got[0]
+    else:
         below = forms[inside]  # overwritten block by block with u's values
         for i in range(0, below.size, _DIRECT_BLOCK):
             below[i:i + _DIRECT_BLOCK] = u.evaluate(x - below[i:i + _DIRECT_BLOCK])

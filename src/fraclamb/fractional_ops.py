@@ -31,7 +31,7 @@ from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, UnsupportedOrderError
 from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction, _inherit_decay,
-                             _restore_shape, check_finite, effective_lower_cutoff)
+                             _relative_epsilon, _restore_shape, check_finite, effective_lower_cutoff)
 from .special_functions import gamma
 
 __all__ = ["split_order", "weyl_integral", "frac_derivative"]
@@ -88,7 +88,7 @@ def _weyl_batch(g: SmoothFunction, mu: float, xs,
     # so windows deep in the decaying tail keep their relative accuracy.
     values = g.evaluate(flat)
     check_finite(g.label, flat, values)
-    L = effective_lower_cutoff(g, CUTOFF_EPSILON * (float(np.max(np.abs(values))) or 1.0))
+    L = effective_lower_cutoff(g, _relative_epsilon(CUTOFF_EPSILON, np.max(np.abs(values))))
     T = np.sqrt(np.maximum(flat - L, 0.0))
 
     q, d = _flatten_exponent(mu)

@@ -69,10 +69,11 @@ class SmoothFunction:
 
     ``quadrature_valued`` is True when every value costs a quadrature of
     its own (a Weyl integral) while the function stays smooth, so a
-    caller that needs many values may interpolate it and check the
-    interpolant against direct values: ``sample`` reads a dense grid off
-    checked Chebyshev series on fixed panels, and the quadratic-form
-    certificate reads its samples off one checked series per probe.
+    caller that needs many values may read them off a Chebyshev series
+    checked against direct values. One helper, ``_checked_series``, builds
+    and checks each such series: ``sample`` reads a dense grid off one per
+    fixed panel, and the quadratic-form certificate reads its samples off
+    one per probe.
 
     Instances are immutable after construction and safe to share across
     threads for read-only evaluation.
@@ -245,13 +246,6 @@ def _horner(x, coeffs: np.ndarray):
         out *= x
         out += a
     return out
-
-
-def _chop(coef: np.ndarray, level: float) -> np.ndarray:
-    """coef without its trailing run of coefficients at most level * max|c|.
-    A NaN marks no coefficient small, so a NaN is kept."""
-    small = np.abs(coef) <= level * np.max(np.abs(coef))
-    return coef[:coef.size - np.argmin(small[::-1])]
 
 
 def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -451,6 +445,12 @@ def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
 # Truncation of the -inf limit
 # ---------------------------------------------------------------------------
 
+def _relative_epsilon(epsilon: float, scale: float) -> float:
+    """epsilon * scale (epsilon where scale is 0), floored at the least
+    subnormal so that a scale below about 1e-312 does not give 0."""
+    return max(epsilon * (float(scale) or 1.0), 5e-324)
+
+
 def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool = False) -> float:
     """The point L where f's tail bound crosses epsilon, with bound(L) <= epsilon.
 
@@ -597,82 +597,73 @@ def check_finite(label: str, xs, values) -> None:
         raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
 
 
-# Grid panels for a quadrature-valued f in sample. Panel k is
-# [k _PANEL_WIDTH, (k + 1) _PANEL_WIDTH), a power of two wide so that
-# floor(x / _PANEL_WIDTH) is exact. Its series lives on the part of the
-# panel inside the window and interpolates f there at the _PANEL_DEGREE + 1
-# Chebyshev points of the second kind, read in one batch with the fixed
-# check points (midpoints in angle between nodes, near both ends and
-# inside). The series stands when at least _PANEL_TAIL trailing
-# coefficients are at most _PANEL_CHOP of the largest (they are then
-# dropped), the rest is within _PANEL_CHECK * max|f| of f at the check
-# points, and f does not keep one sign at the nodes while |f| spans more
-# than a factor 1 / _PANEL_RANGE. Of the chops 1e-13, 1e-14 and 3e-15, the
-# last kept the most certified digits on solve_grid, with no panel there
-# left unresolved. The series' error is about 6e-16 of max|f| on the panel
-# whatever the chop, so the range bound keeps a one-signed value's
-# relative error below about 6e-16 / _PANEL_RANGE, where direct values
-# keep theirs near eps; near a zero of f neither route is relatively
-# accurate.
-_PANEL_WIDTH = 1.0
 _PANEL_DEGREE = 128
 _PANEL_NODES = np.sin(np.pi * np.arange(_PANEL_DEGREE, -_PANEL_DEGREE - 1, -2)
                       / (2 * _PANEL_DEGREE))
-_PANEL_CHECKS = np.cos(np.pi * np.array([0.5, 42.5, 85.5, 127.5]) / _PANEL_DEGREE)
-_PANEL_POINTS = np.concatenate([_PANEL_NODES, _PANEL_CHECKS])
-_PANEL_CHOP = 3e-15
 _PANEL_TAIL = 16
+
+
+def _checked_series(f, lo: float, hi: float, checks: np.ndarray, xs: np.ndarray,
+                    chop: float, level: float):
+    """(series at xs, f at the nodes then at checks) for the Chebyshev
+    series of f on [lo, hi], or None where that series does not stand.
+
+    The series interpolates f at the _PANEL_DEGREE + 1 Chebyshev points of
+    the second kind on [lo, hi]; f, a vectorized callable, is called once,
+    at those nodes and at the points checks of [lo, hi]. The series stands
+    unless that call raises FracLambError or gives a non-finite value, fewer
+    than _PANEL_TAIL trailing coefficients are at most chop times the
+    largest (those are dropped), or it is off f at checks by more than
+    level * max|f(checks)|.
+    """
+    half = 0.5 * (hi - lo)
+    try:
+        read = np.asarray(f(np.concatenate([lo + (_PANEL_NODES + 1.0) * half, checks])))
+    except FracLambError:
+        return None
+    if not np.isfinite(read).all():
+        return None
+    n = _PANEL_NODES.size
+    # The DCT-I of the node values, as the real FFT of their even extension.
+    coef = np.fft.rfft(np.concatenate([read[:n], read[n - 2:0:-1]])).real / _PANEL_DEGREE
+    coef[0] /= 2.0
+    coef[-1] /= 2.0
+    dropped = np.argmin(np.abs(coef[::-1]) <= chop * np.max(np.abs(coef)))
+    if dropped < _PANEL_TAIL:
+        return None
+    # xs and the checks, mapped onto [-1, 1] alike.
+    t = np.concatenate([xs, checks])
+    t -= lo
+    t /= half
+    t -= 1.0
+    series = _clenshaw(coef[:coef.size - dropped], t)
+    if not np.max(np.abs(series[xs.size:] - read[n:])) <= level * np.max(np.abs(read[n:])):
+        return None
+    return series[:xs.size], read
+
+
+# Grid panels for a quadrature-valued f in sample. Panel k is
+# [k _PANEL_WIDTH, (k + 1) _PANEL_WIDTH), a power of two wide so that
+# floor(x / _PANEL_WIDTH) is exact. Its checked series lives on the part of
+# the panel inside the window, read in one batch with the fixed check
+# points (midpoints in angle between nodes, near both ends and inside). It
+# stands when it is resolved at _PANEL_CHOP, is within _PANEL_CHECK *
+# max|f(checks)| of f at the check points, and f does not keep one sign at
+# the nodes and checks while |f| spans more than a factor 1 / _PANEL_RANGE.
+# Of the chops 1e-13, 1e-14 and 3e-15, the last kept the most certified
+# digits on solve_grid, with no panel there left unresolved. The series'
+# error is about 6e-16 of max|f| on the panel whatever the chop, so the
+# range bound keeps a one-signed value's relative error below about
+# 6e-16 / _PANEL_RANGE, where direct values keep theirs near eps; near a
+# zero of f neither route is relatively accurate.
+_PANEL_WIDTH = 1.0
+_PANEL_CHECKS = np.cos(np.pi * np.array([0.5, 42.5, 85.5, 127.5]) / _PANEL_DEGREE)
+_PANEL_CHOP = 3e-15
 _PANEL_CHECK = 1e-11
 _PANEL_RANGE = 1e-2
 # A panel with fewer grid points than this is read directly: its series
 # would cost more reads of f than the points themselves.
-_PANEL_COST = _PANEL_POINTS.size
-
-
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through values at
-    cos(pi j / N), j = 0..N: the DCT-I of values, as the real FFT of their
-    even extension."""
-    n = values.size - 1
-    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
-    coef[0] /= 2.0
-    coef[-1] /= 2.0
-    return coef
-
-
-def _panel_values(f: SmoothFunction, lo: float, hi: float, xs: np.ndarray):
-    """f at the points xs of [lo, hi], read off the checked Chebyshev series
-    of f on [lo, hi], or None where the series does not stand: reading f at
-    its nodes and checks raises FracLambError or gives a value that is not
-    finite, f keeps one sign there while |f| spans more than a factor
-    1 / _PANEL_RANGE, the series is unresolved, or its check fails (a NaN
-    fails it)."""
-    half = 0.5 * (hi - lo)
-    points = lo + (_PANEL_POINTS + 1.0) * half
-    try:
-        direct = np.asarray(f.evaluate(points), dtype=float)
-    except FracLambError:
-        return None
-    if not np.isfinite(direct).all():
-        return None
-    scale = np.abs(direct)
-    if ((np.min(direct) > 0.0 or np.max(direct) < 0.0)
-            and np.min(scale) < _PANEL_RANGE * np.max(scale)):
-        return None
-    n = _PANEL_NODES.size
-    full = _cheb_coeffs(direct[:n])
-    coef = _chop(full, _PANEL_CHOP)
-    if full.size - coef.size < _PANEL_TAIL:
-        return None
-    # The grid points and the checks, mapped onto [-1, 1] alike.
-    t = np.concatenate([xs, points[n:]])
-    t -= lo
-    t /= half
-    t -= 1.0
-    series = _clenshaw(coef, t)
-    if not np.max(np.abs(series[xs.size:] - direct[n:])) <= _PANEL_CHECK * np.max(scale):
-        return None
-    return series[:xs.size]
+_PANEL_COST = _PANEL_NODES.size + _PANEL_CHECKS.size
 
 
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
@@ -684,9 +675,10 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     _PANEL_COST (133) nodes is read off a Chebyshev series on its part
     inside the window, from the first node to the last: one call of f at
     that part's 129 Chebyshev points and 4 check points, chopped and
-    checked (``_panel_values``). So f is read only inside the window, up
-    to rounding at its ends. Where that series does not stand, as where f
-    keeps one sign there while |f| spans more than a factor 100, the
+    checked by ``_checked_series``, the helper the quadratic-form
+    certificate reads u through too. So f is read only inside the window,
+    up to rounding at its ends. Where that series does not stand, as where
+    f keeps one sign there while |f| spans more than a factor 100, the
     panel's own nodes are read directly, in one call. The nodes of all
     sparser panels are read together in one further call. So f is read at
     no more than 2 * count points, and at no more than count when every
@@ -699,10 +691,10 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     too, and a value on a sparse panel shares its Weyl batch, and so its
     cutoff, with the window's other sparse nodes. A series value is no
     longer f(nodes) bit for bit; on the solve_grid decks the two differ by
-    at most 1.7e-11 relative. The check holds it to 1e-11 of max|f| on the
-    panel (_PANEL_CHECK) whatever the tol f was built with: a tol tighter
-    than that makes the values the series is built from more accurate,
-    but does not tighten the check.
+    at most 1.7e-11 relative. The check holds it to 1e-11 of max|f| at the
+    check points (_PANEL_CHECK) whatever the tol f was built with: a tol
+    tighter than that makes the values the series is built from more
+    accurate, but does not tighten the check.
 
     Raises:
         DomainError: a >= b, the width b - a overflows, or count is not an integer >= 2.
@@ -734,8 +726,13 @@ def _sample_panels(f: SmoothFunction, nodes: np.ndarray) -> np.ndarray:
         xs = nodes[i:j]
         left = panel[i] * _PANEL_WIDTH
         lo, hi = max(left, nodes[0]), min(left + _PANEL_WIDTH, nodes[-1])
-        vals = _panel_values(f, lo, hi, xs)
-        values[i:j] = f.evaluate(xs) if vals is None else vals
+        checks = lo + (_PANEL_CHECKS + 1.0) * (0.5 * (hi - lo))
+        got = _checked_series(f.evaluate, lo, hi, checks, xs, _PANEL_CHOP, _PANEL_CHECK)
+        if got is not None:
+            low, high = np.min(got[1]), np.max(got[1])
+            if 0.0 < low < _PANEL_RANGE * high or _PANEL_RANGE * low < high < 0.0:
+                got = None
+        values[i:j] = f.evaluate(xs) if got is None else got[0]
         sparse[i:j] = False
     if sparse.any():
         values[sparse] = f.evaluate(nodes[sparse])

@@ -186,6 +186,32 @@ def test_window_whose_panel_nodes_overflow_solves(window, count, capsys):
     assert np.max(np.abs(grid.values / want - 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("command, const", [("solve", 2.0 / math.sqrt(math.pi)),
+                                            ("forward", math.sqrt(math.pi) / 2.0)],
+                         ids=["solve", "forward"])
+def test_subnormal_values_are_not_bad_input(command, const, capsys):
+    # e^x is about 1e-319 here, so a cutoff at 1e-12 of it would ask for
+    # epsilon 0; the epsilon is floored at the least subnormal instead.
+    # A subnormal near 1e-319 holds about 4 digits.
+    assert main([command, "--variant", "classic", "--function", "exp",
+                 "--window", "-735:-730", "--count", "3"]) == 0
+    grid = read_csv(capsys.readouterr().out)
+    assert np.all(grid.values < 1e-300)
+    assert np.allclose(grid.values, const * np.exp(grid.nodes), rtol=1e-2, atol=0.0)
+
+
+def test_verify_where_u_is_subnormal_is_not_bad_input(capsys):
+    # f' is subnormal at some probes: their cutoffs are still defined, and
+    # every residual is tiny in absolute terms (f itself underflows to 0 at
+    # the last probes, so the relative residual may still fail the gate).
+    code = main(["verify", "--variant", "classic", "--function",
+                 "shifted_gaussian:sigma=0.05", "--window", "1.7:2"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "epsilon" not in err
+    residuals = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
+    assert len(residuals) == 11 and max(map(abs, residuals)) < 1e-14
+
+
 def test_verify_pass_and_threshold_failure():
     ok = run_cli("verify", "--variant", "classic", "--function",
                  "exp:lambda=1", "--window", "-2:2", "--probes", "9")

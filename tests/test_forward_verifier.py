@@ -470,22 +470,23 @@ def test_proxy_failing_its_check_falls_back_to_direct_values(monkeypatch):
             sizes.clear()
             assert forward_quadform_mc(u, A, x, PROXY_CFG) == want
             forms, _, span, _ = seen[-1]
-            # u(x), the nodes, the checks; then the samples below the span
-            # again, in blocks, and none past it.
-            assert sizes[:3] == [1, 129, 256]
-            fallback = sizes[3:]
+            # u(x), then the nodes and the checks in one call; then the
+            # samples below the span again, in blocks, and none past it.
+            assert sizes[:2] == [1, 129 + 256]
+            fallback = sizes[2:]
             assert max(fallback) <= block and sum(fallback) == np.sum(forms <= span)
 
 
 def test_no_direct_read_grows_with_the_sample_count(monkeypatch):
-    # Past the proxy's 129 nodes and 256 checks, no call of u sees more than
-    # _DIRECT_BLOCK samples, though the proxy fails and N q is 12 blocks.
+    # Past the one call at the proxy's 129 nodes and 256 checks, no call of
+    # u sees more than _DIRECT_BLOCK samples, though the proxy fails and
+    # N q is 12 blocks.
     u, sizes = _counting(KINKED, marked=True)
     seen = _recording_samples(monkeypatch)
     cfg = QuadratureConfig(mc_samples=50_000)
     forward_quadform_mc(u, PROXY_MATRICES[1], 0.3, cfg)
-    assert sizes[:3] == [1, 129, 256]
-    direct = sizes[3:]
+    assert sizes[:2] == [1, 129 + 256]
+    direct = sizes[2:]
     assert max(direct) <= forward_verifier._DIRECT_BLOCK
     # The samples below the span once, those past it never.
     forms, _, span, _ = seen[0]
@@ -506,9 +507,9 @@ def test_proxy_bounds_evaluations_per_probe(f, marked, monkeypatch):
         past = int(np.sum(forms > span))
         assert 0 < past < 0.1 * LATTICE_SAMPLES
         # u(x) alone, which sizes the logistic map and the span; then the
-        # proxy's nodes and the checks, or every sample in one call.
+        # proxy's nodes and its checks together, or every sample, in one call.
         if marked:
-            assert sizes == [1, 129, 256]
+            assert sizes == [1, 129 + 256]
         else:
             assert sizes == [1, LATTICE_SAMPLES]
 
@@ -550,6 +551,49 @@ def test_elementwise_u_is_truncated_at_the_span_too(monkeypatch):
         got = forward_quadform_mc(nan_far_left, A, 0.0, PROXY_CFG)
         assert np.any(seen[-1][0] > 28.0)
         assert got == forward_quadform_mc(exp, A, 0.0, PROXY_CFG)
+
+
+def test_sample_and_quadform_proxy_build_through_one_helper(monkeypatch):
+    # Both readers of a quadrature-valued u take their series from
+    # function_model._checked_series, each at its own chop and check level.
+    calls, checked_series = [], function_model._checked_series
+
+    def recording(f, lo, hi, checks, xs, chop, level):
+        calls.append((lo, hi, checks.size, chop, level))
+        return checked_series(f, lo, hi, checks, xs, chop, level)
+
+    for module in (function_model, forward_verifier):
+        monkeypatch.setattr(module, "_checked_series", recording)
+    sample(solve_classic(Exponential(1.5)), -2.0, 0.0, 401)
+    assert calls == [(lo, lo + 1.0, 4, function_model._PANEL_CHOP, function_model._PANEL_CHECK)
+                     for lo in (-2.0, -1.0)]
+    calls.clear()
+    A = PROXY_MATRICES[0]
+    u = solve_quadform(Exponential(1.0), A, PROXY_CFG)
+    forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+    span = forward_verifier._decay_span(u, 0.3, u(0.3), CUTOFF_EPSILON)
+    assert calls == [(0.0, math.sqrt(span), forward_verifier._PROXY_CHECKS,
+                      forward_verifier._PROXY_CHOP, PROXY_CFG.tol)]
+
+
+def test_no_sample_below_the_span_reads_only_u_at_x(monkeypatch):
+    # A span below every sample's form: u is read at x, which sizes the
+    # logistic map and the span, and nowhere else; the estimate is 0.
+    A = PROXY_MATRICES[1]
+    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked=True)
+    decay_span = forward_verifier._decay_span
+
+    def short_span(u, x, value, epsilon):
+        span = decay_span(u, x, value, epsilon)
+        return 1e-300 if epsilon == CUTOFF_EPSILON else span
+
+    monkeypatch.setattr(forward_verifier, "_decay_span", short_span)
+    seen = _recording_samples(monkeypatch)
+    estimate, _ = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+    forms, _, span, vals = seen[0]
+    assert span == 1e-300 and np.all(forms > span) and np.all(vals == 0.0)
+    assert sizes == [1]
+    assert estimate == 0.0
 
 
 def test_error_on_proxy_nodes_keeps_its_class():

@@ -27,8 +27,9 @@ from fraclamb import (
 )
 from fraclamb.fractional_ops import derivative_view
 from fraclamb.forward_verifier import ResidualReport
-from fraclamb.function_model import (BUILTIN_ORDER, _hermite_coeffs, _horner, _logistic_poly,
-                                     _panel_values, _sigmoid)
+from fraclamb.function_model import (_PANEL_CHECK, _PANEL_CHECKS, _PANEL_CHOP, BUILTIN_ORDER,
+                                     _checked_series, _hermite_coeffs, _horner, _logistic_poly,
+                                     _sigmoid)
 from fraclamb.special_functions import gamma
 from conftest import combination, read_csv, rel_error
 
@@ -497,6 +498,12 @@ def _panels_read_directly(u, grid):
     return want
 
 
+def _panel_series(u, lo, hi, xs):
+    """_checked_series of u on the panel part [lo, hi], as sample calls it."""
+    checks = lo + (_PANEL_CHECKS + 1.0) * (0.5 * (hi - lo))
+    return _checked_series(u.evaluate, lo, hi, checks, xs, _PANEL_CHOP, _PANEL_CHECK)
+
+
 def test_grid_value_does_not_depend_on_the_window():
     # Both windows have step 0.001 exactly. Their series on [-3.75, -3] and
     # [-3, -2] are the same: the first panel is cut by both windows at
@@ -536,7 +543,9 @@ def test_steep_panel_is_no_less_accurate_than_the_direct_route(b):
     exact = 2.0 / math.sqrt(math.pi) * math.sqrt(20.0) * np.exp(20.0 * grid.nodes)
     panel_error = np.max(np.abs(grid.values - exact) / exact)
     direct_error = np.max(np.abs(u(grid.nodes) - exact) / exact)
-    assert _panel_values(u, 0.0, min(b, 1.0), grid.nodes[grid.nodes < 1.0]) is None
+    # Each series resolves and passes its check; the range rule declines it.
+    assert _panel_series(u, 0.0, min(b, 1.0), grid.nodes[grid.nodes < 1.0]) is not None
+    assert np.array_equal(grid.values, _panels_read_directly(u, grid))
     assert panel_error <= direct_error
     assert panel_error < 1e-13
 
@@ -547,10 +556,9 @@ def test_panel_where_f_changes_sign_keeps_its_series():
     # at a zero, so the series stands.
     u = CallableFunction(lambda x: np.exp(x) - 2.0)
     u.quadrature_valued = True
-    xs = np.linspace(0.0, 1.0, 1000, endpoint=False)
-    values = _panel_values(u, 0.0, 1.0, xs)
-    assert values is not None
-    assert np.max(np.abs(values - (np.exp(xs) - 2.0))) < 1e-14
+    grid = sample(u, 0.0, 1.0, 1001)
+    assert not np.array_equal(grid.values, _panels_read_directly(u, grid))
+    assert np.max(np.abs(grid.values - (np.exp(grid.nodes) - 2.0))) < 1e-14
 
 
 def test_sample_never_reads_outside_the_window():
@@ -567,7 +575,7 @@ def test_unresolved_panel_is_read_directly():
     u = CallableFunction(lambda x: 2.0 + np.sin(400.0 * x))
     u.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1001)
-    assert _panel_values(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert _panel_series(u, 0.0, 1.0, grid.nodes[:1000]) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
@@ -580,8 +588,8 @@ def test_panel_that_fails_its_check_is_read_directly():
     u, exact = (CallableFunction(lambda x, a=a: off_nodes(x, a)) for a in (1e-6, 0.0))
     u.quadrature_valued = exact.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1001)
-    assert _panel_values(exact, 0.0, 1.0, grid.nodes[:1000]) is not None
-    assert _panel_values(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert _panel_series(exact, 0.0, 1.0, grid.nodes[:1000]) is not None
+    assert _panel_series(u, 0.0, 1.0, grid.nodes[:1000]) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
@@ -596,7 +604,7 @@ def test_panel_whose_series_read_raises_is_read_directly():
     u = CallableFunction(evaluate)
     u.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1000)
-    assert _panel_values(u, 0.0, 1.0, grid.nodes[:999]) is None
+    assert _panel_series(u, 0.0, 1.0, grid.nodes[:999]) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 

@@ -1,6 +1,6 @@
 """Smoke tests of the tools: the lattice-vector search still imports the
 module's constants and reproduces a small vector, and the deck comparison
-judges hand-made records (it never runs the decks here)."""
+judges hand-made records (it never runs the decks or its fixed ops here)."""
 
 import importlib.util
 import json
@@ -86,3 +86,29 @@ def test_deck_diff_reports_how_far_solve_values_moved():
     # Same grid, other stderr: no value report.
     lines, ok = compare(ops, parent, [dict(parent[0], stderr="warning\n")])
     assert not ok and lines[1] == "  s: stdout or stderr differs"
+
+
+def test_deck_diff_fixed_ops_must_stay_byte_identical():
+    deck_diff = _load("deck_diff")
+    argvs = [argv for _, argv in deck_diff.fixed_ops()]
+    assert argvs[0] == ["selftest"]
+    operators = [["--variant", "classic"], ["--variant", "power", "-m", "3"],
+                 ["--variant", "symmetric_ndim", "-n", "3"],
+                 ["--variant", "quadform", "--matrix", "2"]]
+    for function in ("exp", "gauss_tail", "shifted_gaussian"):
+        for operator in operators:
+            assert sum(argv[0] == "forward" and argv[1:1 + len(operator)] == operator
+                       and argv[argv.index("--function") + 1] == function for argv in argvs) == 1
+    assert len(argvs) == 13
+
+    # Unlike a quadform verify op, a quadform forward op may not move.
+    ops = [{"workload": "forward", "variant": "quadform", "command": "forward", "name": "fq"},
+           {"workload": "selftest", "variant": None, "command": "selftest", "name": "st"}]
+    parent = [_record(), _record()]
+    assert deck_diff.compare(ops, parent, list(parent)) == (
+        ["forward: 1 ops compared, 1 byte-identical",
+         "selftest: 1 ops compared, 1 byte-identical"], True)
+    lines, ok = deck_diff.compare(ops, parent, [_record(forwards=(1.0, 2.00005)), parent[1]])
+    assert not ok and lines[1] == "  fq: stdout or stderr differs"
+    lines, ok = deck_diff.compare(ops, parent, [parent[0], _record(stderr="FAIL\n")])
+    assert not ok and lines[2] == "  st: stdout or stderr differs"

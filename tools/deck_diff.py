@@ -7,20 +7,23 @@ trees to compare:
 
 The ``verify`` and ``solve_grid`` decks of ``bench/workloads.py`` are built
 at each seed in SEEDS, with their matrix files in a temporary directory.
-Every op runs once per tree, through ``fraclamb.cli.main`` in one
-subprocess per tree and deck, with that tree's ``src`` first on
+Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
+``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
+(``--matrix 2``) operators on each built-in function. Every op runs once
+per tree, through ``fraclamb.cli.main`` in one subprocess per tree and
+deck (the fixed ops make one more), with that tree's ``src`` first on
 ``sys.path``; a fraclamb imported from anywhere else is refused.
 
-Per workload it prints how many ops were compared and how many gave
-byte-identical exit code, stdout and stderr, then one line per op that
-differs. For a quadform ``verify`` op that line gives the largest
-|change in forward| / SE over its probes, the SE being the parent's; a
-quadform estimate may move within its standard error. For a ``solve`` op
-whose stdout differs it gives the largest |change in value| / |value| over
-the grid, the value being the parent's, and whether both trees wrote the
-same x column. The exit code is 1 if any op's exit code differs, or any
-other op's stdout or stderr does, a ``solve`` op's included, and 0
-otherwise.
+Per workload (``selftest`` and ``forward`` for the fixed ops) it prints
+how many ops were compared and how many gave byte-identical exit code,
+stdout and stderr, then one line per op that differs. For a quadform
+``verify`` op that line gives the largest |change in forward| / SE over
+its probes, the SE being the parent's; a quadform estimate may move
+within its standard error. For a ``solve`` op whose stdout differs it
+gives the largest |change in value| / |value| over the grid, the value
+being the parent's, and whether both trees wrote the same x column. The
+exit code is 1 if any op's exit code differs, or any op's stdout or
+stderr does other than a quadform ``verify`` op's, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ import tempfile
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SEEDS = (1, 7, 17)
+# The forward operators of the fixed ops, each as its --variant value and
+# datum flags, and the functions each is applied to.
+FORWARD_OPERATORS = (("classic",), ("power", "-m", "3"), ("symmetric_ndim", "-n", "3"),
+                     ("quadform", "--matrix", "2", "--mc-samples", "20000"))
+FUNCTIONS = ("exp", "gauss_tail", "shifted_gaussian")
 
 # Runs the argv lists read from stdin through one tree's cli.main and writes
 # one record per op to stdout as JSON.
@@ -69,6 +77,17 @@ def _run(src: str, argvs: list, workdir: str) -> list:
     if proc.returncode != 0:
         raise SystemExit(f"deck_diff: {src}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)
+
+
+def fixed_ops() -> list:
+    """(variant, argv) of each op run outside the decks; variant is None
+    for ``selftest``."""
+    ops = [(None, ["selftest"])]
+    for variant, *datum in FORWARD_OPERATORS:
+        for function in FUNCTIONS:
+            ops.append((variant, ["forward", "--variant", variant, *datum, "--function", function,
+                                  "--window", "-2:1", "--count", "21"]))
+    return ops
 
 
 def _digest(record: dict) -> dict:
@@ -108,7 +127,7 @@ def _value_shift(old: dict, new: dict) -> tuple[float, bool]:
 
 def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
     """The report's lines, and whether the change keeps every exit code and
-    every non-quadform op's stdout and stderr.
+    every op's stdout and stderr but a quadform ``verify`` op's.
 
     ``ops`` holds one dict per op with its ``workload``, ``variant``,
     ``command`` (the subcommand) and a ``name`` for the report; ``parent``
@@ -129,7 +148,7 @@ def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
             shift, same_x = _value_shift(old, new)
             tally["notes"].append(f"  {op['name']}: max |dvalue|/|value| = {shift:.3g}, "
                                   f"x column {'identical' if same_x else 'differs'}")
-        elif op["variant"] != "quadform":
+        elif op["variant"] != "quadform" or op["command"] != "verify":
             ok = False
             tally["notes"].append(f"  {op['name']}: stdout or stderr differs")
         else:
@@ -167,6 +186,13 @@ def main(argv=None) -> int:
                     keep = (lambda r: r) if raw else _digest
                     parent.append(keep(old))
                     change.append(keep(new))
+        fixed = fixed_ops()
+        runs = [_run(src, [argv for _, argv in fixed], workdir) for src in (parent_src, change_src)]
+        for (variant, argv), old, new in zip(fixed, *runs, strict=True):
+            ops.append({"workload": argv[0], "variant": variant, "command": argv[0],
+                        "name": " ".join(argv)})
+            parent.append(_digest(old))
+            change.append(_digest(new))
     lines, ok = compare(ops, parent, change)
     print("\n".join(lines))
     return 0 if ok else 1
