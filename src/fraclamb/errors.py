@@ -27,7 +27,7 @@ class UnsupportedOrderError(FracLambError):
 
 
 class ConvergenceError(FracLambError):
-    """Panel refinement hit the configured cap before the tolerance was met.
+    """Panel refinement hit _quad.MAX_PANELS panels before the tolerance was met.
 
     Carries the last estimate and its error estimate so callers can decide
     whether the partial result is still usable.

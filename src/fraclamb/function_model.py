@@ -46,8 +46,6 @@ CUTOFF_EPSILON = 1e-12
 # f^(n/2) for even n, f^((n+1)/2) for odd n, so it reaches n <= 16 or 15.
 BUILTIN_ORDER = 8
 
-_TINY = float(np.finfo(float).tiny)  # the smallest normal float
-
 
 def _restore_shape(x, result):
     """Return a plain float for scalar input, ndarray otherwise."""
@@ -65,7 +63,9 @@ class SmoothFunction:
     * analytic derivatives up to ``derivative_order`` (K), none above it;
     * ``tail_bound(L)``, an upper bound on sup_{xi <= L} max_{k <= K+1}
       |f^(k)(xi)|, monotone non-increasing as L decreases and -> 0, which is
-      what permits truncating integrals with lower limit -inf.
+      what permits truncating integrals with lower limit -inf. The exact
+      bound is monotone; its float need not be where a factor underflows,
+      as ShiftedGaussian's |t|^k e^(-t^2/2) where e^(-t^2/2) is subnormal.
 
     ``quadrature_valued`` is True when every value costs a quadrature of
     its own (a Weyl integral) while the function stays smooth, so a
@@ -402,11 +402,7 @@ class ShiftedGaussian(SmoothFunction):
                 s = math.sqrt(max(2.0 * R, peak * peak)) + 1.0
                 for _ in range(6):
                     s -= (0.5 * s * s - k * math.log(s) - R) / (s - k / s)
-        # Where e^(-s^2/2) is subnormal the bound steps in units far wider
-        # than an ulp of L and need not be monotone.
-        if s == 0.0 or math.exp(-0.5 * s * s) < _TINY:
-            return None
-        return self.c - self.sigma * s
+        return None if s == 0.0 else self.c - self.sigma * s
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +451,24 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
     """The point L where f's tail bound crosses epsilon, with bound(L) <= epsilon.
 
     Left of L every |f^(k)| the bound covers is at most epsilon, so an
-    integral with lower limit -inf may be truncated at L. Doubling steps
-    bracket the crossing in [L, R] with bound(R) > epsilon; bisection then
-    narrows the bracket for at most 60 steps, stopping early once it is one
-    ulp wide. A bound that never exceeds epsilon on [0, 2^63] gives L = 2^63.
-
-    The built-ins, and the wrappers that scale their bounds, invert the
-    bound in closed form. A guess G in [-2^58, -2] is taken in place of the
-    search only where it is the search's own answer: the doubling bracket
-    [-2^(j+1), -2^j] holding G must hold the crossing, and after at most
-    three one-ulp nudges bound(G) <= epsilon < bound(nextafter(G, +inf)).
+    integral with lower limit -inf may be truncated at L. The built-ins,
+    and the wrappers that scale their bounds, invert the bound in closed
+    form: a guess G with |G| <= 2^58 is returned if bound(G) <= epsilon,
+    else G stepped 4 ulps of max(|G|, 1) left if that passes.
     Any other guess, an overflow while guessing, and every function
-    without an inverse take the search above.
+    without an inverse take the search: doubling steps bracket the
+    crossing in [L, R] with bound(R) > epsilon, and bisection narrows the
+    bracket for at most 60 steps, stopping early once it is one ulp wide.
+    A bound that never exceeds epsilon on [0, 2^63] gives L = 2^63. A
+    kept guess satisfies the bound but need not be the search's float.
 
     ``value_only`` uses the bound on |f| alone (enough for integrals of f
     itself, giving shorter decay spans than the all-derivatives bound). A
     bound that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
 
     Raises:
-        NoDecayError: if f has no decay metadata.
+        NoDecayError: if f has no decay metadata, or its bound stays above
+            epsilon out to L = -2^61 (a guess past 2^58 is never kept).
     """
     epsilon = float(epsilon)
     if not epsilon > 0.0:
@@ -492,22 +487,10 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
         guess = f._cutoff_guess(math.log(epsilon), value_only)
     except OverflowError:
         guess = None
-    if guess is not None and -2.0 ** 58 <= guess <= -2.0:
-        # The bracket the doubling walk stops at: 2^j < -guess <= 2^(j+1).
-        m, e = math.frexp(-guess)
-        lo = -math.ldexp(1.0, e - 1 if m == 0.5 else e)
-        if bound(lo) <= epsilon < bound(0.5 * lo):
-            up = math.nextafter(guess, math.inf)
-            at, above = bound(guess), bound(up)
-            for _ in range(3):
-                if at > epsilon:
-                    guess, up, above = math.nextafter(guess, -math.inf), guess, at
-                    at = bound(guess)
-                elif above <= epsilon:
-                    guess, at, up = up, above, math.nextafter(up, math.inf)
-                    above = bound(up)
-            if at <= epsilon < above:
-                return guess
+    if guess is not None and abs(guess) <= 2.0 ** 58:
+        for L in (guess, guess - 4.0 * math.ulp(max(abs(guess), 1.0))):
+            if bound(L) <= epsilon:
+                return L
 
     # Bracket [lo, hi] with bound(lo) <= epsilon < bound(hi); the bound is
     # monotone non-decreasing in L.
@@ -628,7 +611,8 @@ def _checked_series(f, lo: float, hi: float, checks: np.ndarray, xs: np.ndarray,
     coef = np.fft.rfft(np.concatenate([read[:n], read[n - 2:0:-1]])).real / _PANEL_DEGREE
     coef[0] /= 2.0
     coef[-1] /= 2.0
-    dropped = np.argmin(np.abs(coef[::-1]) <= chop * np.max(np.abs(coef)))
+    # Coefficient 0 always stays, so an all-zero series stands, exactly.
+    dropped = np.argmin(np.append(np.abs(coef[:0:-1]) <= chop * np.max(np.abs(coef)), False))
     if dropped < _PANEL_TAIL:
         return None
     # xs and the checks, mapped onto [-1, 1] alike.

@@ -533,7 +533,9 @@ def test_quadform_mc_reads_u_only_inside_the_span(f, monkeypatch):
     for x in (-1.0, 0.3):
         points.clear()
         forward_quadform_mc(u, A, x, PROXY_CFG)
-        span = forward_verifier._decay_span(solution, x, solution(x), CUTOFF_EPSILON)
+        # The span of the function the rule reads, u, whose tail bound has
+        # no closed-form cutoff guess; solution(x) is u(x) without a read.
+        span = forward_verifier._decay_span(u, x, solution(x), CUTOFF_EPSILON)
         forms = seen[-1][0]
         assert seen[-1][2] == span and np.any(forms > span)
         assert sum(np.array_equal(p, [x]) for p in points) == 1

@@ -101,14 +101,36 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
                        and argv[argv.index("--function") + 1] == function for argv in argvs) == 1
     assert len(argvs) == 13
 
-    # Unlike a quadform verify op, a quadform forward op may not move.
+    # Unlike a quadform verify op, a quadform forward op may not move; its
+    # grid's move is sized as a solve op's is.
     ops = [{"workload": "forward", "variant": "quadform", "command": "forward", "name": "fq"},
            {"workload": "selftest", "variant": None, "command": "selftest", "name": "st"}]
-    parent = [_record(), _record()]
+    parent = [_grid((1.0, 2.0)), _record()]
     assert deck_diff.compare(ops, parent, list(parent)) == (
         ["forward: 1 ops compared, 1 byte-identical",
          "selftest: 1 ops compared, 1 byte-identical"], True)
-    lines, ok = deck_diff.compare(ops, parent, [_record(forwards=(1.0, 2.00005)), parent[1]])
-    assert not ok and lines[1] == "  fq: stdout or stderr differs"
+    lines, ok = deck_diff.compare(ops, parent, [_grid((1.0, 2.00005)), parent[1]])
+    assert not ok and lines[1] == "  fq: max |dvalue|/|value| = 2.5e-05, x column identical"
     lines, ok = deck_diff.compare(ops, parent, [parent[0], _record(stderr="FAIL\n")])
     assert not ok and lines[2] == "  st: stdout or stderr differs"
+
+
+def test_deck_diff_reports_how_far_deterministic_forwards_moved():
+    compare = _load("deck_diff").compare
+    ops = [{"workload": "verify", "variant": "classic", "command": "verify", "name": "c"}]
+    parent = [_record(forwards=(0.0, -4.0))]
+
+    # A deterministic verify op that moves is reported with its largest
+    # relative change in forward, and still fails the comparison.
+    lines, ok = compare(ops, parent, [_record(forwards=(0.0, -4.0 * (1.0 + 1e-12)))])
+    assert not ok
+    assert lines == ["verify: 1 ops compared, 0 byte-identical",
+                     "  c: max |dforward|/|forward| = 1e-12"]
+
+    # A forward of 0 that moves has moved infinitely far, relatively.
+    lines, ok = compare(ops, parent, [_record(forwards=(1e-300, -4.0))])
+    assert not ok and lines[1] == "  c: max |dforward|/|forward| = inf"
+
+    # Same report, other stderr: no forward report.
+    lines, ok = compare(ops, parent, [dict(parent[0], stderr="FAIL\n")])
+    assert not ok and lines[1] == "  c: stdout or stderr differs"

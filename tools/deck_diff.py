@@ -16,19 +16,24 @@ deck (the fixed ops make one more), with that tree's ``src`` first on
 
 Per workload (``selftest`` and ``forward`` for the fixed ops) it prints
 how many ops were compared and how many gave byte-identical exit code,
-stdout and stderr, then one line per op that differs. For a quadform
-``verify`` op that line gives the largest |change in forward| / SE over
-its probes, the SE being the parent's; a quadform estimate may move
-within its standard error. For a ``solve`` op whose stdout differs it
-gives the largest |change in value| / |value| over the grid, the value
-being the parent's, and whether both trees wrote the same x column. The
-exit code is 1 if any op's exit code differs, or any op's stdout or
+stdout and stderr, then one line per op that differs, sizing the move
+against the parent's output:
+
+* a quadform ``verify`` op: the largest |change in forward| / SE over its
+  probes, the SE being the parent's; a quadform estimate may move within
+  its standard error;
+* any other ``verify`` op whose stdout differs: the largest
+  |change in forward| / |forward| over its probes;
+* a ``solve`` or ``forward`` op whose stdout differs: the largest
+  |change in value| / |value| over the grid, and whether both trees wrote
+  the same x column.
+
+The exit code is 1 if any op's exit code differs, or any op's stdout or
 stderr does other than a quadform ``verify`` op's, and 0 otherwise.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -90,36 +95,40 @@ def fixed_ops() -> list:
     return ops
 
 
-def _digest(record: dict) -> dict:
-    """The record with its stdout replaced by a hash, equal where the text is."""
-    return dict(record, stdout=hashlib.sha256(record["stdout"].encode()).hexdigest())
+def _relative(old: float, new: float) -> float:
+    """|new - old| / |old|: 0 where the two are equal, inf where only old is 0."""
+    return 0.0 if old == new else abs(new - old) / abs(old) if old else math.inf
 
 
-def _forward_shift(old: dict, new: dict) -> float:
-    """Largest |change in forward| / parent SE over a quadform op's probes;
-    nan where either stdout is not a JSON report of the same probes."""
+def _forward_shift(old: dict, new: dict, per_se: bool) -> float:
+    """Largest |change in forward| over a verify op's probes, divided by
+    the parent's SE (``per_se``) or taken relative to the parent's
+    forward; nan where either stdout is not a JSON report of the same
+    probes."""
     try:
         a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
-        shifts = [abs(rb["forward"] - ra["forward"]) / se
-                  for ra, rb, se in zip(a["rows"], b["rows"], a["std_errors"], strict=True)]
+        if per_se:
+            shifts = [abs(rb["forward"] - ra["forward"]) / se
+                      for ra, rb, se in zip(a["rows"], b["rows"], a["std_errors"], strict=True)]
+        else:
+            shifts = [_relative(ra["forward"], rb["forward"])
+                      for ra, rb in zip(a["rows"], b["rows"], strict=True)]
     except (ValueError, KeyError, TypeError, ZeroDivisionError):
         return math.nan
     return max(shifts, default=0.0)
 
 
 def _value_shift(old: dict, new: dict) -> tuple[float, bool]:
-    """Largest |change in value| / |value| over a solve op's grid, the value
-    being the parent's, and whether the x columns are the same text; (nan,
-    False) where either stdout is not an x,value CSV of the same size."""
+    """Largest |change in value| / |value| over a solve or forward op's
+    grid, the value being the parent's, and whether the x columns are the
+    same text; (nan, False) where either stdout is not an x,value CSV of
+    the same size."""
     try:
         a, b = ([line.split(",") for line in r["stdout"].splitlines()] for r in (old, new))
         if a[0] != ["x", "value"] or b[0] != ["x", "value"] or len(a) != len(b):
             return math.nan, False
         same_x = all(ra[0] == rb[0] for ra, rb in zip(a, b))
-        shifts = []
-        for (_, va), (_, vb) in zip(a[1:], b[1:]):
-            va, vb = float(va), float(vb)
-            shifts.append(0.0 if va == vb else abs(vb - va) / abs(va) if va else math.inf)
+        shifts = [_relative(float(va), float(vb)) for (_, va), (_, vb) in zip(a[1:], b[1:])]
     except (ValueError, IndexError):
         return math.nan, False
     return max(shifts, default=0.0), same_x
@@ -143,17 +152,21 @@ def compare(ops: list, parent: list, change: list) -> tuple[list, bool]:
         elif old["rc"] != new["rc"]:
             ok = False
             tally["notes"].append(f"  {op['name']}: exit code {old['rc']} -> {new['rc']}")
-        elif op["command"] == "solve" and old["stdout"] != new["stdout"]:
+        elif op["variant"] == "quadform" and op["command"] == "verify":
+            shift = _forward_shift(old, new, per_se=True)
+            tally["notes"].append(f"  {op['name']}: max |dforward|/SE = {shift:.3g}")
+        elif op["command"] == "verify" and old["stdout"] != new["stdout"]:
+            ok = False
+            shift = _forward_shift(old, new, per_se=False)
+            tally["notes"].append(f"  {op['name']}: max |dforward|/|forward| = {shift:.3g}")
+        elif op["command"] in ("solve", "forward") and old["stdout"] != new["stdout"]:
             ok = False
             shift, same_x = _value_shift(old, new)
             tally["notes"].append(f"  {op['name']}: max |dvalue|/|value| = {shift:.3g}, "
                                   f"x column {'identical' if same_x else 'differs'}")
-        elif op["variant"] != "quadform" or op["command"] != "verify":
+        else:
             ok = False
             tally["notes"].append(f"  {op['name']}: stdout or stderr differs")
-        else:
-            shift = _forward_shift(old, new)
-            tally["notes"].append(f"  {op['name']}: max |dforward|/SE = {shift:.3g}")
     lines = []
     for workload, tally in tallies.items():
         lines.append(f"{workload}: {tally['ops']} ops compared, {tally['same']} byte-identical")
@@ -181,18 +194,15 @@ def main(argv=None) -> int:
                     ops.append({"workload": workload, "variant": draw.variant,
                                 "command": draw.argv[0],
                                 "name": f"seed {seed} op {draw.index} ({draw.variant})"})
-                    # Only a quadform or solve op's stdout is read past its hash.
-                    raw = draw.variant == "quadform" or draw.argv[0] == "solve"
-                    keep = (lambda r: r) if raw else _digest
-                    parent.append(keep(old))
-                    change.append(keep(new))
+                    parent.append(old)
+                    change.append(new)
         fixed = fixed_ops()
         runs = [_run(src, [argv for _, argv in fixed], workdir) for src in (parent_src, change_src)]
         for (variant, argv), old, new in zip(fixed, *runs, strict=True):
             ops.append({"workload": argv[0], "variant": variant, "command": argv[0],
                         "name": " ".join(argv)})
-            parent.append(_digest(old))
-            change.append(_digest(new))
+            parent.append(old)
+            change.append(new)
     lines, ok = compare(ops, parent, change)
     print("\n".join(lines))
     return 0 if ok else 1
