@@ -30,8 +30,10 @@ built by the helper ``function_model.sample`` reads grids through.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,8 @@ import numpy as np
 from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
-from .function_model import (CUTOFF_EPSILON, SmoothFunction, _checked_series, _relative_epsilon,
-                             check_finite, check_window, effective_lower_cutoff)
+from .function_model import (CUTOFF_EPSILON, SmoothFunction, _checked_series, _clenshaw,
+                             _relative_epsilon, check_finite, check_window, effective_lower_cutoff)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -73,12 +75,52 @@ _LOGISTIC_DECAY = 1e-8
 
 # Chebyshev proxy for a quadrature-valued u: the level below which its
 # trailing coefficients are dropped (relative to the largest), and how many
-# samples check it against direct values.
+# fixed points check it against direct values.
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
 # Most samples per direct read of a quadrature-valued u, so that the Weyl
 # batch's rows x nodes arrays stay bounded.
 _DIRECT_BLOCK = 4096
+# The lattice rule runs its samples in blocks of whole shifts, of at most
+# _BLOCK_SAMPLES samples (one shift where a shift is longer), through
+# buffers held per thread (_work), so that a probe's memory does not grow
+# with its sample count and no probe returns its heap to the OS. Of 2^13
+# to 2^17, 2^14 ran the verify deck's n=2 and n=3 ops fastest at 5e4
+# samples (2^15 refaulted the heap under an elementwise u's 256 KB
+# temporaries); at the CLI default, where one shift is 2^15 samples,
+# 2^13 to 2^15 all make it one block (63 ms for a 3x3 exp probe, against
+# 70 ms at 2^16 and 93 ms at 2^17).
+_BLOCK_SAMPLES = 2 ** 14
+
+_thread_work = threading.local()
+
+
+def _work(dtype, *shapes) -> list:
+    """Views of the given shapes, one after another, into this thread's flat
+    work array of dtype, which grows to fit and is never shrunk: calls of
+    one size reuse the memory, whatever shapes they view it in."""
+    sizes = [math.prod(shape) for shape in shapes]
+    name = np.dtype(dtype).name
+    flat = getattr(_thread_work, name, None)
+    if flat is None or flat.size < sum(sizes):
+        flat = np.empty(sum(sizes), dtype)
+        setattr(_thread_work, name, flat)
+    views, start = [], 0
+    for size, shape in zip(sizes, shapes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+@functools.lru_cache(maxsize=2 * _MC_DIM_CAP)
+def _lattice_points(n: int, m: int) -> np.ndarray:
+    """The 2^m points k z / 2^m mod 1 of the rank-1 lattice in dimension n,
+    coordinates along rows; read-only, as it is cached and shared. The
+    cache holds every n at two sample budgets."""
+    N = 1 << m
+    points = (np.outer(_LATTICE_Z[:n], np.arange(N)) & (N - 1)) / N
+    points.flags.writeable = False
+    return points
 
 
 def _decay_span(u: SmoothFunction, x: float, value: float, epsilon: float) -> float:
@@ -121,48 +163,67 @@ def forward_power(u: SmoothFunction, m: int, x: float,
 
 def _probe_rng(seed: int, x: float) -> np.random.Generator:
     # Counter-based generator keyed on (seed, probe point): deterministic
-    # for a fixed seed, split across probe points.
-    xbits = np.array(float(x), dtype=np.float64).view(np.uint64)
+    # for a fixed seed, split across probe points. x + 0.0 keys -0.0 as 0.0.
+    xbits = np.array(float(x) + 0.0, dtype=np.float64).view(np.uint64)
     key = np.array([np.uint64(seed), xbits], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
-                   cfg: QuadratureConfig) -> np.ndarray:
-    """u(x - form) at the samples' quadratic forms, all of them >= 0, as a
-    new array, for the caller to truncate past span. A u that is not
-    quadrature-valued is evaluated at every sample in one call.
+def _proxy_series(u: SmoothFunction, x: float, span: float, cfg: QuadratureConfig):
+    """The chopped coefficients of the proxy ``_sample_values`` reads a
+    quadrature-valued u off, or None where it does not stand."""
+    root = math.sqrt(span)
+    checks = (np.arange(_PROXY_CHECKS) + 0.5) * (root / _PROXY_CHECKS)
+    got = _checked_series(lambda s: u.evaluate(x - np.minimum(s * s, span)),
+                          0.0, root, checks, _PROXY_CHOP, cfg.tol)
+    return None if got is None else got[0]
 
-    Otherwise u is never read past span, where the values are 0. Below it
-    u is read off the checked Chebyshev series (``_checked_series``) of
-    s -> u(x - min(s^2, span)) on [0, sqrt(span)], at s = sqrt(form); in s
-    an exponential tail becomes a Gaussian, which degree 128 resolves. Its
-    checks are _PROXY_CHECKS samples spread evenly below span, read in the
-    same call of u as the series' 129 nodes. The series stands if at least
-    16 trailing coefficients are below _PROXY_CHOP of the largest (they are
-    dropped: max|c| <= 2 max|u|, so a value moves by at most
-    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the
-    default tol) and it is within cfg.tol * max|u(checks)| of u at the
-    checks; otherwise u is read at every sample below span, _DIRECT_BLOCK
-    per call. With no sample below span, u is not read here at all.
+
+def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
+                   past: np.ndarray, series, work: np.ndarray) -> np.ndarray:
+    """u(x - form) at the samples' quadratic forms, all of them >= 0, for
+    the caller to truncate past span; past is forms > span. A u that is not
+    quadrature-valued is evaluated at every sample in one call, into a new
+    array.
+
+    Otherwise u is never read past span, where the values are 0, and the
+    values are written into work, a (5, forms.size) float array (they are
+    returned in one of its rows). Below span u is read off the checked
+    Chebyshev series (``_checked_series``) of s -> u(x - min(s^2, span)) on
+    [0, sqrt(span)], at s = sqrt(min(form, span)); in s an exponential tail
+    becomes a Gaussian, which degree 128 resolves. series() gives its
+    chopped coefficients, built by ``_proxy_series`` once per probe, by the
+    caller, and called here only when a sample lies below span: with none,
+    u is not read here at all. The series is checked at _PROXY_CHECKS fixed
+    points spread evenly in s over [0, sqrt(span)] (the midpoints of as many
+    equal cells), read in the same call of u as its 129 nodes. It stands if
+    at least 16 trailing coefficients are below _PROXY_CHOP of the largest
+    (they are dropped: max|c| <= 2 max|u|, so a value moves by at most
+    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the default
+    tol) and it is within cfg.tol * max|u(checks)| of u at the checks;
+    otherwise u is read at every sample below span, _DIRECT_BLOCK per call.
     """
     if not u.quadrature_valued:
         return u.evaluate(x - forms)
-    inside = forms <= span
-    vals = np.zeros_like(forms)
-    if not inside.any():
-        return vals
-    s = np.sqrt(forms[inside])
-    checks = s[::max(1, s.size // _PROXY_CHECKS)][:_PROXY_CHECKS]
-    got = _checked_series(lambda s: u.evaluate(x - np.minimum(s * s, span)),
-                          0.0, math.sqrt(span), checks, s, _PROXY_CHOP, cfg.tol)
-    if got is not None:
-        vals[inside] = got[0]
+    s, clenshaw = work[0], work[1:]
+    if past.all():
+        s.fill(0.0)
+        return s
+    coef = series()
+    if coef is not None:
+        np.minimum(forms, span, out=s)
+        np.sqrt(s, out=s)
+        s /= 0.5 * math.sqrt(span)
+        s -= 1.0
+        vals = _clenshaw(coef, s, clenshaw)
     else:
-        below = forms[inside]  # overwritten block by block with u's values
+        vals = s
+        vals.fill(0.0)
+        below = np.flatnonzero(~past)
         for i in range(0, below.size, _DIRECT_BLOCK):
-            below[i:i + _DIRECT_BLOCK] = u.evaluate(x - below[i:i + _DIRECT_BLOCK])
-        vals[inside] = below
+            block = below[i:i + _DIRECT_BLOCK]
+            vals[block] = u.evaluate(x - forms[block])
+    np.copyto(vals, 0.0, where=past)
     return vals
 
 
@@ -182,7 +243,19 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     determinant, Cholesky factor or the polar reduction. The scale c moves
     only the variance, never the mean; it is sized from u's decay and A's
     smallest pivot. ``_sample_values`` reads u, a quadrature-valued one only
-    below S and in batches that do not grow with N q.
+    below S, off one checked series per probe, built at the first block
+    that holds a sample below S, and in batches that do not grow with N q.
+
+    The samples run in blocks of whole shifts, at most _BLOCK_SAMPLES
+    (2^14) samples or one shift, through flat float and bool buffers held
+    per thread and reused by every later probe on that thread, whatever
+    its n: (2 n + 7) floats and 2 bools per sample of a block, at n = 3
+    1.7 MB for 5e4 samples and 3.4 MB for the default 1e6 (one shift of
+    2^15 samples per block), beside the cached lattice points (n N
+    floats). Each shift's mean is taken over its own N values, so the
+    result is the same in one block or several, and on any thread, except
+    where a proxy fails: its direct reads restart their chunks at each
+    block, and a Weyl value depends in its last digits on its batch.
 
     Returns (estimate, standard_error): the mean of the q shift means, and
     the standard error of that mean combined in quadrature with
@@ -205,33 +278,47 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     c = _LOGISTIC_KAPPA * math.sqrt(_decay_span(u, x, value, _LOGISTIC_DECAY)
                                     / (-math.log(_LOGISTIC_DECAY) * A.min_pivot))
     span = _decay_span(u, x, value, CUTOFF_EPSILON)
+    series = functools.cache(lambda: _proxy_series(u, x, span, cfg))
 
     # Coordinates run along rows. A point k z / N and a shift are multiples
     # of 2^-53 in [0, 1), so t is one in [0, 1) too: 0 is its only boundary.
-    rng = _probe_rng(cfg.mc_seed, x)
-    points = (np.outer(_LATTICE_Z[:n], np.arange(N)) & (N - 1)) / N
-    t = (points[:, None, :] + rng.random((n, q, 1))).reshape(n, -1)
-    np.subtract(t, 1.0, out=t, where=t >= 1.0)
-    edge = ~np.all(t, axis=0)
-    t[:, edge] = 0.5
-    rest = 1.0 - t
-    weight = t[0] * rest[0]
-    for j in range(1, n):
-        weight *= t[j]
-        weight *= rest[j]
-    np.divide(c ** n, weight, out=weight)
-    weight[edge] = 0.0
-    logit = np.divide(t, rest, out=t)
-    del rest
-    np.log(logit, out=logit)
-    form = A.entries @ logit
-    form *= logit
-    form = form.sum(axis=0)
-    form *= c * c
-    del t, logit  # freed before u is sampled, which needs the memory
-    weight *= _sample_values(u, form, x, span, cfg)
-    weight[form > span] = 0.0
-    means = weight.reshape(q, N).mean(axis=1)
+    points = _lattice_points(n, m)
+    shifts = _probe_rng(cfg.mc_seed, x).random((n, q, 1))
+    means = np.empty(q)
+    per = max(1, _BLOCK_SAMPLES // N)
+    for k in range(0, q, per):
+        size = min(per, q - k) * N
+        t, prod, weight, form, work = _work(float, (n, size), (n, size), (size,), (size,),
+                                            (5, size))
+        flag, kept = _work(bool, (size,), (size,))
+        np.add(points[:, None, :], shifts[:, k:k + per], out=t.reshape(n, -1, N))
+        for tj in t:
+            tj -= np.greater_equal(tj, 1.0, out=flag)
+        np.all(t, axis=0, out=kept)
+        edge = None if kept.all() else ~kept
+        if edge is not None:
+            t[:, edge] = 0.5
+        rest = form  # 1 - t, one coordinate at a time, before form is built
+        for j, tj in enumerate(t):
+            np.subtract(1.0, tj, out=rest)
+            if j == 0:
+                np.multiply(tj, rest, out=weight)
+            else:
+                weight *= tj
+                weight *= rest
+            tj /= rest
+        np.divide(c ** n, weight, out=weight)
+        if edge is not None:
+            weight[edge] = 0.0
+        logit = np.log(t, out=t)
+        np.matmul(A.entries, logit, out=prod)
+        prod *= logit
+        np.add.reduce(prod, axis=0, out=form)
+        form *= c * c
+        past = np.greater(form, span, out=flag)
+        weight *= _sample_values(u, form, x, span, past, series, work)
+        np.copyto(weight, 0.0, where=past)
+        np.mean(weight.reshape(-1, N), axis=1, out=means[k:k + per])
     estimate = float(np.mean(means))
     shift_error = float(np.std(means, ddof=1)) / math.sqrt(q)
     return estimate, math.hypot(shift_error, cfg.tol * estimate)

@@ -248,15 +248,17 @@ def _horner(x, coeffs: np.ndarray):
     return out
 
 
-def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _clenshaw(coef: np.ndarray, t: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
-    place over preallocated buffers instead of three new arrays per term."""
+    place over four buffers instead of three new arrays per term. The
+    buffers are the rows of work, shaped (4,) + t.shape, if given (the sum
+    is returned in one of them), else new."""
     if coef.size == 1:
         coef = np.append(coef, 0.0)
-    x2 = 2.0 * t
-    c0 = np.full_like(t, coef[-2])
-    c1 = np.full_like(t, coef[-1])
-    spare = np.empty_like(t)
+    x2, c0, c1, spare = np.empty((4,) + t.shape) if work is None else work
+    np.multiply(2.0, t, out=x2)
+    c0.fill(coef[-2])
+    c1.fill(coef[-1])
     for ck in coef[-3::-1]:
         np.subtract(ck, c1, out=spare)
         c1 *= x2
@@ -573,11 +575,12 @@ def check_window(a: float, b: float) -> tuple[float, float]:
 
 def check_finite(label: str, xs, values) -> None:
     """FracLambError naming the first point of xs where values is not finite."""
-    xs, values = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(values, dtype=float))
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
-        raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
+    values = np.asarray(values, dtype=float)
+    if np.isfinite(values).all():
+        return
+    xs, values = np.broadcast_arrays(np.asarray(xs, dtype=float), values)
+    i = np.flatnonzero(~np.isfinite(values))[0]
+    raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
 
 
 _PANEL_DEGREE = 128
@@ -586,18 +589,24 @@ _PANEL_NODES = np.sin(np.pi * np.arange(_PANEL_DEGREE, -_PANEL_DEGREE - 1, -2)
 _PANEL_TAIL = 16
 
 
-def _checked_series(f, lo: float, hi: float, checks: np.ndarray, xs: np.ndarray,
-                    chop: float, level: float):
-    """(series at xs, f at the nodes then at checks) for the Chebyshev
-    series of f on [lo, hi], or None where that series does not stand.
+def _checked_series(f, lo: float, hi: float, checks: np.ndarray, chop: float, level: float):
+    """(coefficients, f at the nodes then at checks) of the Chebyshev series
+    of f on [lo, hi], or None where that series does not stand.
 
     The series interpolates f at the _PANEL_DEGREE + 1 Chebyshev points of
     the second kind on [lo, hi]; f, a vectorized callable, is called once,
     at those nodes and at the points checks of [lo, hi]. The series stands
     unless that call raises FracLambError or gives a non-finite value, fewer
     than _PANEL_TAIL trailing coefficients are at most chop times the
-    largest (those are dropped), or it is off f at checks by more than
-    level * max|f(checks)|.
+    largest, or it is off f at checks by more than level * max|f(checks)|.
+    The coefficients returned are the chopped ones, the series the check
+    read; the caller evaluates them with ``_clenshaw`` at its own points,
+    mapped onto [-1, 1] as t = (x - lo) / (0.5 (hi - lo)) - 1. So the
+    checks must be known before the series is summed anywhere: ``sample``
+    checks 4 fixed points per panel and sums the series at the panel's
+    nodes; the quadratic-form lattice rule checks 256 fixed points spread
+    evenly over [0, sqrt(S)] and sums the series block by block of its
+    samples, in the work buffers it holds per thread.
     """
     half = 0.5 * (hi - lo)
     try:
@@ -615,15 +624,11 @@ def _checked_series(f, lo: float, hi: float, checks: np.ndarray, xs: np.ndarray,
     dropped = np.argmin(np.append(np.abs(coef[:0:-1]) <= chop * np.max(np.abs(coef)), False))
     if dropped < _PANEL_TAIL:
         return None
-    # xs and the checks, mapped onto [-1, 1] alike.
-    t = np.concatenate([xs, checks])
-    t -= lo
-    t /= half
-    t -= 1.0
-    series = _clenshaw(coef[:coef.size - dropped], t)
-    if not np.max(np.abs(series[xs.size:] - read[n:])) <= level * np.max(np.abs(read[n:])):
+    coef = coef[:coef.size - dropped]
+    series = _clenshaw(coef, (checks - lo) / half - 1.0)
+    if not np.max(np.abs(series - read[n:])) <= level * np.max(np.abs(read[n:])):
         return None
-    return series[:xs.size], read
+    return coef, read
 
 
 # Grid panels for a quadrature-valued f in sample. Panel k is
@@ -711,12 +716,13 @@ def _sample_panels(f: SmoothFunction, nodes: np.ndarray) -> np.ndarray:
         left = panel[i] * _PANEL_WIDTH
         lo, hi = max(left, nodes[0]), min(left + _PANEL_WIDTH, nodes[-1])
         checks = lo + (_PANEL_CHECKS + 1.0) * (0.5 * (hi - lo))
-        got = _checked_series(f.evaluate, lo, hi, checks, xs, _PANEL_CHOP, _PANEL_CHECK)
+        got = _checked_series(f.evaluate, lo, hi, checks, _PANEL_CHOP, _PANEL_CHECK)
         if got is not None:
             low, high = np.min(got[1]), np.max(got[1])
             if 0.0 < low < _PANEL_RANGE * high or _PANEL_RANGE * low < high < 0.0:
                 got = None
-        values[i:j] = f.evaluate(xs) if got is None else got[0]
+        values[i:j] = (f.evaluate(xs) if got is None
+                       else _clenshaw(got[0], (xs - lo) / (0.5 * (hi - lo)) - 1.0))
         sparse[i:j] = False
     if sparse.any():
         values[sparse] = f.evaluate(nodes[sparse])

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +150,14 @@ def test_forward_montecarlo_determinism():
     assert a == b
     other = forward_montecarlo(Exponential(1.0), 3, 0.5, QuadratureConfig(mc_seed=1))
     assert other[0] != a[0] and other[1] != a[1]
+
+
+def test_signed_zero_probes_draw_the_same_shifts():
+    # -0.0 == 0.0, so both must key the same Philox stream.
+    A = PosDefMatrix([[2.0, 1.0], [1.0, 2.0]])
+    cfg = QuadratureConfig(mc_samples=5000)
+    assert (forward_quadform_mc(Exponential(1.0), A, -0.0, cfg)
+            == forward_quadform_mc(Exponential(1.0), A, 0.0, cfg))
 
 
 class _ZeroShifts:
@@ -405,12 +416,13 @@ def test_proxied_quadform_mc_agrees_with_direct_route(f, A):
 
 
 def _recording_samples(monkeypatch):
-    """(forms, x, span, values) of each _sample_values call, as a list."""
+    """(forms, x, span, values) of each _sample_values call, as a list; the
+    arrays are copied, as the lattice rule reuses its buffers."""
     seen, sample_values = [], forward_verifier._sample_values
 
-    def recording(u, forms, x, span, cfg):
-        vals = sample_values(u, forms, x, span, cfg)
-        seen.append((forms, x, span, vals))
+    def recording(u, forms, x, span, *rest):
+        vals = sample_values(u, forms, x, span, *rest)
+        seen.append((forms.copy(), x, span, vals.copy()))
         return vals
 
     monkeypatch.setattr(forward_verifier, "_sample_values", recording)
@@ -419,7 +431,7 @@ def _recording_samples(monkeypatch):
 
 @BUILT_INS
 def test_proxy_holds_at_every_sample(f, monkeypatch):
-    # The runtime check reads only the first 256 samples; this reads all.
+    # The runtime check reads 256 fixed points; this reads every sample.
     A = PROXY_MATRICES[1]
     u = solve_quadform(f, A, PROXY_CFG)
     seen = _recording_samples(monkeypatch)
@@ -488,8 +500,10 @@ def test_no_direct_read_grows_with_the_sample_count(monkeypatch):
     assert sizes[:2] == [1, 129 + 256]
     direct = sizes[2:]
     assert max(direct) <= forward_verifier._DIRECT_BLOCK
-    # The samples below the span once, those past it never.
-    forms, _, span, _ = seen[0]
+    # The samples below the span once, those past it never, over the
+    # probe's blocks.
+    forms = np.concatenate([forms for forms, *_ in seen])
+    span = seen[0][2]
     assert forms.size == 49152
     assert sum(direct) == np.sum(forms <= span) < forms.size
 
@@ -560,9 +574,9 @@ def test_sample_and_quadform_proxy_build_through_one_helper(monkeypatch):
     # function_model._checked_series, each at its own chop and check level.
     calls, checked_series = [], function_model._checked_series
 
-    def recording(f, lo, hi, checks, xs, chop, level):
+    def recording(f, lo, hi, checks, chop, level):
         calls.append((lo, hi, checks.size, chop, level))
-        return checked_series(f, lo, hi, checks, xs, chop, level)
+        return checked_series(f, lo, hi, checks, chop, level)
 
     for module in (function_model, forward_verifier):
         monkeypatch.setattr(module, "_checked_series", recording)
@@ -609,3 +623,73 @@ def test_error_on_proxy_nodes_keeps_its_class():
     for route in (u, _direct(u)):
         with pytest.raises(ConvergenceError, match="no convergence"):
             forward_quadform_mc(route, PROXY_MATRICES[1], 0.0, PROXY_CFG)
+
+
+# ---------------------------------------------------------------------------
+# Streaming the lattice rule through per-thread buffers
+# ---------------------------------------------------------------------------
+
+STREAM_CFG = QuadratureConfig(mc_samples=50_000)  # N = 2048 points, q = 24 shifts
+
+
+def _stream_cases(cfg):
+    """(u, A) pairs: a quadrature-valued u read off its proxy at n = 3, and
+    elementwise ones at n = 2 and n = 3."""
+    A3 = PROXY_MATRICES[1]
+    return [(solve_quadform(Exponential(1.0), A3, cfg), A3),
+            (Exponential(1.0), PosDefMatrix([[2.0, 1.0], [1.0, 2.0]])),
+            (GaussTail(1.0, 0.0), A3)]
+
+
+def test_blocks_of_shifts_change_no_float(monkeypatch):
+    cases = _stream_cases(STREAM_CFG)
+    monkeypatch.setattr(forward_verifier, "_BLOCK_SAMPLES", 2 ** 20)
+    whole = [forward_quadform_mc(u, A, x, STREAM_CFG) for u, A in cases for x in (-1.0, 0.3)]
+    # One shift per block, 5 shifts per block with a shorter last one, and
+    # shorter blocks than a shift, which still hold one shift each.
+    for block in (2048, 5 * 2048, 100):
+        monkeypatch.setattr(forward_verifier, "_BLOCK_SAMPLES", block)
+        assert [forward_quadform_mc(u, A, x, STREAM_CFG)
+                for u, A in cases for x in (-1.0, 0.3)] == whole
+
+
+def test_threads_running_probes_get_the_sequential_floats():
+    cases = _stream_cases(STREAM_CFG)
+    want = [forward_quadform_mc(u, A, x, STREAM_CFG) for u, A in cases for x in (-1.0, 0.3)]
+    got = {}
+
+    def run(i):
+        got[i] = [forward_quadform_mc(u, A, x, STREAM_CFG)
+                  for _ in range(2) for u, A in cases for x in (-1.0, 0.3)]
+
+    # More threads than cores, switching often, each with its own buffers.
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(got[i] == want * 2 for i in range(len(threads)))
+
+
+@pytest.mark.parametrize("cfg", [STREAM_CFG, CFG], ids=["5e4", "default"])
+def test_probe_allocates_nothing_that_grows_with_its_samples(cfg):
+    # After one warm-up probe has sized this thread's buffers and cached the
+    # lattice points, a 3x3 probe's traced peak (0.9 MB, mostly the proxy's
+    # Weyl batch) does not grow with the budget. Building the (n, N q)
+    # arrays whole peaked at 3.6 MB for 5e4 samples and 71 MB by default.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(Exponential(1.0), A, cfg)
+    forward_quadform_mc(u, A, 0.3, cfg)
+    tracemalloc.start()
+    try:
+        forward_quadform_mc(u, A, -0.2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -29,7 +29,7 @@ from fraclamb.fractional_ops import derivative_view
 from fraclamb.forward_verifier import ResidualReport
 from fraclamb.function_model import (_PANEL_CHECK, _PANEL_CHECKS, _PANEL_CHOP, BUILTIN_ORDER,
                                      _checked_series, _hermite_coeffs, _horner, _logistic_poly,
-                                     _sigmoid)
+                                     _sigmoid, check_finite)
 from fraclamb.special_functions import gamma
 from conftest import combination, read_csv, rel_error
 
@@ -385,6 +385,21 @@ def test_sample_validation():
     assert not isinstance(info.value, DomainError)
 
 
+@pytest.mark.parametrize("xs, values, message", [
+    ([0.0, 1.0, 2.0], [1.0, np.nan, np.inf], "f: non-finite value nan at x = 1"),
+    (0.1, [1.0, 2.0, -np.inf], "f: non-finite value -inf at x = 0.10000000000000001"),
+    ([[0.5], [1.5]], [np.inf, 1.0], "f: non-finite value inf at x = 0.5"),
+])
+def test_check_finite_names_the_first_bad_point(xs, values, message):
+    # xs and values broadcast against each other, as the scalar x of one
+    # value against a batch of them.
+    check_finite("f", xs, np.nan_to_num(values))
+    with pytest.raises(FracLambError) as info:
+        check_finite("f", xs, values)
+    assert str(info.value) == message
+    assert not isinstance(info.value, DomainError)
+
+
 def test_grid_function_node_relation_is_exact():
     g = GridFunction(x_start=-1.0, x_step=0.25, values=np.arange(9.0))
     assert np.array_equal(g.nodes, -1.0 + np.arange(9) * 0.25)
@@ -524,10 +539,10 @@ def _panels_read_directly(u, grid):
     return want
 
 
-def _panel_series(u, lo, hi, xs):
+def _panel_series(u, lo, hi):
     """_checked_series of u on the panel part [lo, hi], as sample calls it."""
     checks = lo + (_PANEL_CHECKS + 1.0) * (0.5 * (hi - lo))
-    return _checked_series(u.evaluate, lo, hi, checks, xs, _PANEL_CHOP, _PANEL_CHECK)
+    return _checked_series(u.evaluate, lo, hi, checks, _PANEL_CHOP, _PANEL_CHECK)
 
 
 def test_grid_value_does_not_depend_on_the_window():
@@ -570,7 +585,7 @@ def test_steep_panel_is_no_less_accurate_than_the_direct_route(b):
     panel_error = np.max(np.abs(grid.values - exact) / exact)
     direct_error = np.max(np.abs(u(grid.nodes) - exact) / exact)
     # Each series resolves and passes its check; the range rule declines it.
-    assert _panel_series(u, 0.0, min(b, 1.0), grid.nodes[grid.nodes < 1.0]) is not None
+    assert _panel_series(u, 0.0, min(b, 1.0)) is not None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
     assert panel_error <= direct_error
     assert panel_error < 1e-13
@@ -601,7 +616,7 @@ def test_unresolved_panel_is_read_directly():
     u = CallableFunction(lambda x: 2.0 + np.sin(400.0 * x))
     u.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1001)
-    assert _panel_series(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert _panel_series(u, 0.0, 1.0) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
@@ -614,8 +629,8 @@ def test_panel_that_fails_its_check_is_read_directly():
     u, exact = (CallableFunction(lambda x, a=a: off_nodes(x, a)) for a in (1e-6, 0.0))
     u.quadrature_valued = exact.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1001)
-    assert _panel_series(exact, 0.0, 1.0, grid.nodes[:1000]) is not None
-    assert _panel_series(u, 0.0, 1.0, grid.nodes[:1000]) is None
+    assert _panel_series(exact, 0.0, 1.0) is not None
+    assert _panel_series(u, 0.0, 1.0) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
@@ -630,7 +645,7 @@ def test_panel_whose_series_read_raises_is_read_directly():
     u = CallableFunction(evaluate)
     u.quadrature_valued = True
     grid = sample(u, 0.0, 1.0, 1000)
-    assert _panel_series(u, 0.0, 1.0, grid.nodes[:999]) is None
+    assert _panel_series(u, 0.0, 1.0) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
