@@ -1,9 +1,9 @@
 """Composite Gauss-Legendre panels with doubling-based error control.
 
-All improper integrals in the package reduce, after a change of variables,
-to smooth integrands on a finite interval [0, S]. A fixed 32-node rule per
-panel with panel doubling until two successive refinements agree is simple,
-robust, and spectral-fast for analytic integrands.
+Every improper integral here reduces, by a change of variables, to a smooth
+int_0^U s^d g(x - s^p) ds; ``fractional_ops._power_kernel``, its integrand, is
+this module's only caller. A 32-node rule per panel, doubled until two
+refinements agree, is simple, robust and spectral-fast for analytic integrands.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -112,21 +113,20 @@ def _window_type(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_VALUE_FLAGS = {
-    "--variant", "--dimension", "--power", "--matrix", "--function",
-    "--window", "--count", "--probes", "--tol", "--mc-samples", "--seed",
-    "--threshold", "--output", "--format",
-}
+# A token that reads as a negative number or range: '-' then a digit or '.'.
+_DASH_VALUE = re.compile(r"-[\d.]")
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
     # Lets '--window -1:1' parse; argparse would otherwise read '-1:1' as a
-    # flag. Joining with '=' keeps the value attached to its option.
+    # flag. Joining with '=' keeps the value attached to its option. Only a
+    # negative number or range is joined, so a flag is never taken for the
+    # value of the option before it.
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok.startswith("-") and i + 1 < len(argv) and _DASH_VALUE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

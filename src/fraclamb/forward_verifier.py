@@ -7,10 +7,10 @@ to its forward evaluator, in this one place, one call per probe, so each
 value depends on its own point only:
 
 * every deterministic variant is one weighted power kernel,
-  w * int_0^inf y^alpha u(x - y^m) dy (``_forward_kernel``):
-  ``forward_power`` is (0, m, 1), for the classic (m = 2) and power
-  variants; ``forward_radial`` is (n - 1, 2, Vol(S^(n-1))), the exact
-  polar reduction of the full-space integral, for symmetric_ndim;
+  w * int_0^inf y^alpha u(x - y^m) dy (``_forward_kernel``, on the Weyl
+  integral's integrand ``fractional_ops._power_kernel``): ``forward_power``
+  is (0, m, 1), for classic (m = 2) and power; ``forward_radial`` is
+  (n - 1, 2, Vol(S^(n-1))), the exact polar reduction, for symmetric_ndim;
 * ``forward_quadform_mc``: a randomized rank-1 lattice rule in Cartesian
   coordinates, up to n = 4, for the quadratic-form variant, with a
   logistic map of the unit cube onto all of R^n. ``forward_montecarlo``
@@ -38,11 +38,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
-from .function_model import (CUTOFF_EPSILON, SmoothFunction, _checked_series, _clenshaw,
-                             _relative_epsilon, check_finite, check_window, effective_lower_cutoff)
+from .fractional_ops import _power_kernel
+from .function_model import (_DIRECT_BLOCK, CUTOFF_EPSILON, SmoothFunction, _checked_series,
+                             _clenshaw, _read_direct, _relative_epsilon, check_finite,
+                             check_window, effective_lower_cutoff)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -78,9 +79,6 @@ _LOGISTIC_DECAY = 1e-8
 # fixed points check it against direct values.
 _PROXY_CHOP = 1e-13
 _PROXY_CHECKS = 256
-# Most samples per direct read of a quadrature-valued u, so that the Weyl
-# batch's rows x nodes arrays stay bounded.
-_DIRECT_BLOCK = 4096
 # The lattice rule runs its samples in blocks of whole shifts, of at most
 # _BLOCK_SAMPLES samples (one shift where a shift is longer), through
 # buffers held per thread (_work), so that a probe's memory does not grow
@@ -142,11 +140,7 @@ def _forward_kernel(u: SmoothFunction, alpha: int, m: int, w: float, x: float,
     """
     x = float(x)
     Y = _decay_span(u, x, u(x), CUTOFF_EPSILON) ** (1.0 / m)
-
-    def integrand(y):
-        return y ** alpha * u.evaluate(x - y ** m)
-
-    return w * float(_quad.integrate_batch(integrand, np.array([Y]), cfg)[0])
+    return w * float(_power_kernel(u, alpha, m, np.array([x]), np.array([Y]), cfg)[0])
 
 
 def forward_radial(u: SmoothFunction, n: int, x: float,
@@ -218,11 +212,8 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
         vals = _clenshaw(coef, s, clenshaw)
     else:
         vals = s
-        vals.fill(0.0)
-        below = np.flatnonzero(~past)
-        for i in range(0, below.size, _DIRECT_BLOCK):
-            block = below[i:i + _DIRECT_BLOCK]
-            vals[block] = u.evaluate(x - forms[block])
+        below = ~past
+        vals[below] = _read_direct(u, x - forms[below])
     np.copyto(vals, 0.0, where=past)
     return vals
 

@@ -38,7 +38,7 @@ __all__ = ["split_order", "weyl_integral", "frac_derivative"]
 
 _INTEGER_SNAP = 1e-12
 _MAX_FLATTEN_Q = 16
-# Integrand nodes per row block in _weyl_batch (128 KiB of float64); chosen
+# Integrand nodes per row block in _power_kernel (128 KiB of float64); chosen
 # by a sweep over 2^13..2^17 on solve_grid. No value depends on it.
 _BLOCK_NODES = 2 ** 14
 
@@ -75,6 +75,25 @@ def _flatten_exponent(mu: float) -> tuple[float, float]:
     return 1.0 / (2.0 * mu), 0.0
 
 
+def _power_kernel(g: SmoothFunction, d: float, p: float, xs: np.ndarray,
+                  uppers: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """int_0^U_i s^d g(x_i - s^p) ds per row i: the Weyl and forward integrand."""
+    def integrand(s):
+        # Row blocks of about _BLOCK_NODES nodes keep each elementwise pass
+        # of g in cache; every value is computed as in one whole-batch pass.
+        out = np.empty_like(s)
+        rows = max(1, _BLOCK_NODES // s.shape[1])
+        for i in range(0, s.shape[0], rows):
+            block = s[i:i + rows]
+            weight = block ** d if d != 0.0 else 1.0
+            xi = block ** p
+            np.subtract(xs[i:i + rows, None], xi, out=xi)
+            np.multiply(weight, g.evaluate(xi), out=out[i:i + rows])
+        return out
+
+    return _quad.integrate_batch(integrand, uppers, cfg)
+
+
 def _weyl_batch(g: SmoothFunction, mu: float, xs,
                 cfg: QuadratureConfig) -> np.ndarray:
     mu = float(mu)
@@ -92,23 +111,7 @@ def _weyl_batch(g: SmoothFunction, mu: float, xs,
     T = np.sqrt(np.maximum(flat - L, 0.0))
 
     q, d = _flatten_exponent(mu)
-    uppers = T ** (1.0 / q)
-    constant = 2.0 * q / gamma(mu)
-
-    def integrand(s):
-        # Row blocks of about _BLOCK_NODES nodes keep each elementwise pass
-        # of g in cache; every value is computed as in one whole-batch pass.
-        out = np.empty_like(s)
-        rows = max(1, _BLOCK_NODES // s.shape[1])
-        for i in range(0, s.shape[0], rows):
-            block = s[i:i + rows]
-            weight = block ** d if d != 0.0 else 1.0
-            xi = block ** (2.0 * q)
-            np.subtract(flat[i:i + rows, None], xi, out=xi)
-            np.multiply(weight, g.evaluate(xi), out=out[i:i + rows])
-        return out
-
-    result = constant * _quad.integrate_batch(integrand, uppers, cfg)
+    result = 2.0 * q / gamma(mu) * _power_kernel(g, d, 2.0 * q, flat, T ** (1.0 / q), cfg)
     return result.reshape(shape)
 
 

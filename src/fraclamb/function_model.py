@@ -653,6 +653,17 @@ _PANEL_RANGE = 1e-2
 # A panel with fewer grid points than this is read directly: its series
 # would cost more reads of f than the points themselves.
 _PANEL_COST = _PANEL_NODES.size + _PANEL_CHECKS.size
+# Most points per direct read of a quadrature-valued f, so that the Weyl
+# batch's rows x nodes arrays stay bounded.
+_DIRECT_BLOCK = 4096
+
+
+def _read_direct(f: SmoothFunction, xs: np.ndarray) -> np.ndarray:
+    """f at the 1-D array xs, _DIRECT_BLOCK points per call of f.evaluate."""
+    values = np.empty_like(xs)
+    for i in range(0, xs.size, _DIRECT_BLOCK):
+        values[i:i + _DIRECT_BLOCK] = f.evaluate(xs[i:i + _DIRECT_BLOCK])
+    return values
 
 
 def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
@@ -668,9 +679,11 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     certificate reads u through too. So f is read only inside the window,
     up to rounding at its ends. Where that series does not stand, as where
     f keeps one sign there while |f| spans more than a factor 100, the
-    panel's own nodes are read directly, in one call. The nodes of all
-    sparser panels are read together in one further call. So f is read at
-    no more than 2 * count points, and at no more than count when every
+    panel's own nodes are read directly. The nodes of all sparser panels
+    are read together after the dense panels. A direct read goes in chunks
+    of _DIRECT_BLOCK (4096) points per call (``_read_direct``), so that the
+    Weyl batch's memory does not grow with the count. So f is read at no
+    more than 2 * count points, and at no more than count when every
     dense panel's series stands.
 
     A value on a dense panel that lies wholly inside the window depends
@@ -678,7 +691,7 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     the same x gives the same float in two windows that both hold its
     panel densely. A value on a panel the window cuts depends on the cut
     too, and a value on a sparse panel shares its Weyl batch, and so its
-    cutoff, with the window's other sparse nodes. A series value is no
+    cutoff, with the other sparse nodes of its chunk. A series value is no
     longer f(nodes) bit for bit; on the solve_grid decks the two differ by
     at most 1.7e-11 relative. The check holds it to 1e-11 of max|f| at the
     check points (_PANEL_CHECK) whatever the tol f was built with: a tol
@@ -721,9 +734,9 @@ def _sample_panels(f: SmoothFunction, nodes: np.ndarray) -> np.ndarray:
             low, high = np.min(got[1]), np.max(got[1])
             if 0.0 < low < _PANEL_RANGE * high or _PANEL_RANGE * low < high < 0.0:
                 got = None
-        values[i:j] = (f.evaluate(xs) if got is None
+        values[i:j] = (_read_direct(f, xs) if got is None
                        else _clenshaw(got[0], (xs - lo) / (0.5 * (hi - lo)) - 1.0))
         sparse[i:j] = False
     if sparse.any():
-        values[sparse] = f.evaluate(nodes[sparse])
+        values[sparse] = _read_direct(f, nodes[sparse])
     return values

@@ -484,6 +484,28 @@ def test_count_is_refused_before_the_derivative_order(capsys):
     assert capsys.readouterr().err == "error: count must be >= 2, got 1\n"
 
 
+def test_a_flag_is_never_taken_for_a_value(tmp_path, monkeypatch, capsys):
+    # '--output' lacks its value: the run exits 2 and writes no file named
+    # '--format'.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--variant", "classic", "--function", "exp", "--window", "-1:1",
+              "--count", "3", "--output", "--format"])
+    assert info.value.code == 2
+    assert "argument --output: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("window", ["-1:1", "-.5:1"])
+def test_negative_window_is_read_as_a_value(window, capsys):
+    argv = ["solve", "--variant", "classic", "--function", "exp", "--count", "3"]
+    assert main([*argv, "--window", window]) == 0
+    spaced = capsys.readouterr().out
+    assert main([*argv, f"--window={window}"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert read_csv(spaced).nodes[0] == float(window.split(":")[0])
+
+
 def test_malformed_window_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--variant", "classic", "--function", "exp", "--window", "a:1"])

@@ -13,6 +13,8 @@ from fraclamb import (
     QuadratureConfig,
     ShiftedGaussian,
     frac_derivative,
+    forward_power,
+    forward_radial,
     materialize,
     split_order,
     verify,
@@ -137,12 +139,21 @@ def test_weyl_values_do_not_depend_on_the_block_size(f, mu, monkeypatch):
     xs = np.linspace(-3.0, 1.0, 1500)
     assert xs.size * _quad.NODES_PER_PANEL > 2 * fractional_ops._BLOCK_NODES
     gs = (f, derivative_view(f, 1))
-    blocked = [_weyl_batch(g, mu, xs, CFG) for g in gs]
+    # The forward kernels share the Weyl integrand, applied to a closed-form
+    # u and to a quadrature-valued one, read at each forward node set in
+    # one Weyl batch.
+    us = (f, materialize(lambda x: _weyl_batch(f, mu, x, CFG), decay_like=f))
+    kernels = [(forward_power, 1), (forward_power, 3), (forward_radial, 2), (forward_radial, 5)]
+
+    def values():
+        forwards = [kernel(u, k, x, CFG) for u in us for kernel, k in kernels for x in (-1.0, 0.5)]
+        return [_weyl_batch(g, mu, xs, CFG).tobytes() for g in gs] + [np.array(forwards).tobytes()]
+
+    blocked = values()
     # One row per block, then the whole batch in one block.
     for block in (1, xs.size * _quad.MAX_PANELS * _quad.NODES_PER_PANEL):
         monkeypatch.setattr(fractional_ops, "_BLOCK_NODES", block)
-        for g, want in zip(gs, blocked):
-            assert _weyl_batch(g, mu, xs, CFG).tobytes() == want.tobytes()
+        assert values() == blocked
 
 
 def test_integrate_batch_integrand_receives_every_row(monkeypatch):

@@ -27,9 +27,9 @@ from fraclamb import (
 )
 from fraclamb.fractional_ops import derivative_view
 from fraclamb.forward_verifier import ResidualReport
-from fraclamb.function_model import (_PANEL_CHECK, _PANEL_CHECKS, _PANEL_CHOP, BUILTIN_ORDER,
-                                     _checked_series, _hermite_coeffs, _horner, _logistic_poly,
-                                     _sigmoid, check_finite)
+from fraclamb.function_model import (_DIRECT_BLOCK, _PANEL_CHECK, _PANEL_CHECKS, _PANEL_CHOP,
+                                     BUILTIN_ORDER, _checked_series, _hermite_coeffs, _horner,
+                                     _logistic_poly, _sigmoid, check_finite)
 from fraclamb.special_functions import gamma
 from conftest import combination, read_csv, rel_error
 
@@ -649,6 +649,22 @@ def test_panel_whose_series_read_raises_is_read_directly():
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
 
 
+@pytest.mark.parametrize("evaluate, window, sizes", [
+    # One point per panel: every node is on a sparse panel.
+    (lambda x: np.exp(-x * 1e-17), (0.0, 1e21), [4096, 4096, 1809]),
+    # One dense panel, whose series cannot resolve the kink at 0.5.
+    (lambda x: np.exp(np.minimum(x, 0.5)), (0.0, 0.9), [133, 4096, 4096, 1809]),
+], ids=["sparse", "failed_panel"])
+def test_sample_reads_directly_in_chunks(evaluate, window, sizes):
+    # More than _DIRECT_BLOCK nodes read directly: no call of u sees more
+    # than _DIRECT_BLOCK of them, and an elementwise u's values do not
+    # depend on the chunks.
+    u, reads = _recorded(CallableFunction(evaluate))
+    grid = sample(u, *window, 10001)
+    assert [r.size for r in reads] == sizes
+    assert np.array_equal(grid.values, evaluate(grid.nodes))
+
+
 def test_sample_reads_no_more_than_twice_the_count():
     # Every dense panel resolves: 133 reads per panel, at most count.
     u, reads = _recorded(solve_classic(GaussTail(1.1, 0.2)))
@@ -669,7 +685,9 @@ def test_sample_reads_no_more_than_twice_the_count():
     grid = sample(u, -1.0, 1.0, 101)
     assert [r.size for r in reads] == [101]
     assert np.array_equal(grid.values, u.evaluate(grid.nodes))
-    # One point per panel: read in one call, never a series per point.
+    # One point per panel: read directly, never a series per point, in
+    # chunks of at most _DIRECT_BLOCK.
     u, reads = _recorded(CallableFunction(lambda x: np.exp(-x * 1e-17)))
     sample(u, 0.0, 2e17, 20001)
-    assert [r.size for r in reads] == [20001]
+    sizes = [r.size for r in reads]
+    assert max(sizes) <= _DIRECT_BLOCK and sum(sizes) == 20001

@@ -99,7 +99,12 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
         for operator in operators:
             assert sum(argv[0] == "forward" and argv[1:1 + len(operator)] == operator
                        and argv[argv.index("--function") + 1] == function for argv in argvs) == 1
-    assert len(argvs) == 13
+    # A classic solve on a sparse grid of each built-in.
+    solves = [argv for argv in argvs if argv[0] == "solve"]
+    assert [argv[argv.index("--function") + 1] for argv in solves] == [
+        "exp", "gauss_tail", "shifted_gaussian"]
+    assert all(argv[1:3] == ["--variant", "classic"] for argv in solves)
+    assert len(argvs) == 16
 
     # Unlike a quadform verify op, a quadform forward op may not move; its
     # grid's move is sized as a solve op's is.

@@ -9,15 +9,17 @@ The ``verify`` and ``solve_grid`` decks of ``bench/workloads.py`` are built
 at each seed in SEEDS, with their matrix files in a temporary directory.
 Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
 ``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
-(``--matrix 2``) operators on each built-in function. Every op runs once
-per tree, through ``fraclamb.cli.main`` in one subprocess per tree and
-deck (the fixed ops make one more), with that tree's ``src`` first on
-``sys.path``; a fraclamb imported from anywhere else is refused.
+(``--matrix 2``) operators on each built-in function, and a classic
+``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
+grid whose every panel is sparse. Every op runs once per tree, through
+``fraclamb.cli.main`` in one subprocess per tree and deck (the fixed ops
+make one more), with that tree's ``src`` first on ``sys.path``; a
+fraclamb imported from anywhere else is refused.
 
-Per workload (``selftest`` and ``forward`` for the fixed ops) it prints
-how many ops were compared and how many gave byte-identical exit code,
-stdout and stderr, then one line per op that differs, sizing the move
-against the parent's output:
+Per workload (``selftest``, ``forward`` and ``solve`` for the fixed ops)
+it prints how many ops were compared and how many gave byte-identical
+exit code, stdout and stderr, then one line per op that differs, sizing
+the move against the parent's output:
 
 * a quadform ``verify`` op: the largest |change in forward| / SE over its
   probes, the SE being the parent's; a quadform estimate may move within
@@ -48,6 +50,9 @@ SEEDS = (1, 7, 17)
 FORWARD_OPERATORS = (("classic",), ("power", "-m", "3"), ("symmetric_ndim", "-n", "3"),
                      ("quadform", "--matrix", "2", "--mc-samples", "20000"))
 FUNCTIONS = ("exp", "gauss_tail", "shifted_gaussian")
+# About 17 grid points per unit panel, all of them sparse, in one direct
+# read below function_model._DIRECT_BLOCK.
+SPARSE_GRID = ("--window", "-30:30", "--count", "1001")
 
 # Runs the argv lists read from stdin through one tree's cli.main and writes
 # one record per op to stdout as JSON.
@@ -92,6 +97,9 @@ def fixed_ops() -> list:
         for function in FUNCTIONS:
             ops.append((variant, ["forward", "--variant", variant, *datum, "--function", function,
                                   "--window", "-2:1", "--count", "21"]))
+    for function in FUNCTIONS:
+        ops.append(("classic", ["solve", "--variant", "classic", "--function", function,
+                                *SPARSE_GRID]))
     return ops
 
 
