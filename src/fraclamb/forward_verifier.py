@@ -40,10 +40,9 @@ import numpy as np
 
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
-from .fractional_ops import _power_kernel
+from .fractional_ops import _cutoff_span, _power_kernel
 from .function_model import (_DIRECT_BLOCK, CUTOFF_EPSILON, SmoothFunction, _checked_series,
-                             _clenshaw, _read_direct, _relative_epsilon, check_finite,
-                             check_window, effective_lower_cutoff)
+                             _clenshaw, _read_direct, check_window)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -124,11 +123,8 @@ def _lattice_points(n: int, m: int) -> np.ndarray:
 def _decay_span(u: SmoothFunction, x: float, value: float, epsilon: float) -> float:
     """Distance below x past which |u| stays under epsilon * |u(x)| (epsilon
     where u(x) = 0), given value = u(x); every forward integral stops at S =
-    _decay_span(u, x, u(x), CUTOFF_EPSILON)."""
-    value = float(value)
-    check_finite(u.label, x, value)
-    L = effective_lower_cutoff(u, _relative_epsilon(epsilon, abs(value)), value_only=True)
-    return max(float(x) - L, 1e-12)
+    _decay_span(u, x, u(x), CUTOFF_EPSILON). At least 1e-12."""
+    return max(_cutoff_span(u, float(x), float(value), epsilon, value_only=True), 1e-12)
 
 
 def _forward_kernel(u: SmoothFunction, alpha: int, m: int, w: float, x: float,

@@ -31,7 +31,7 @@ from . import _quad
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DomainError, UnsupportedOrderError
 from .function_model import (CUTOFF_EPSILON, CallableFunction, SmoothFunction, _inherit_decay,
-                             _relative_epsilon, _restore_shape, check_finite, effective_lower_cutoff)
+                             _restore_shape, check_finite, effective_lower_cutoff)
 from .special_functions import gamma
 
 __all__ = ["split_order", "weyl_integral", "frac_derivative"]
@@ -94,6 +94,15 @@ def _power_kernel(g: SmoothFunction, d: float, p: float, xs: np.ndarray,
     return _quad.integrate_batch(integrand, uppers, cfg)
 
 
+def _cutoff_span(g: SmoothFunction, xs, values, epsilon: float, value_only: bool = False):
+    """xs - L, for L where g's tail bound (value bound if value_only) falls
+    to epsilon * max|values| (epsilon where all are 0; at least 5e-324), the
+    values being g at xs; FracLambError where one of them is not finite."""
+    check_finite(g.label, xs, values)
+    scale = float(np.max(np.abs(values)))
+    return xs - effective_lower_cutoff(g, max(epsilon * (scale or 1.0), 5e-324), value_only)
+
+
 def _weyl_batch(g: SmoothFunction, mu: float, xs,
                 cfg: QuadratureConfig) -> np.ndarray:
     mu = float(mu)
@@ -103,12 +112,8 @@ def _weyl_batch(g: SmoothFunction, mu: float, xs,
     shape = xs.shape
     flat = np.atleast_1d(xs).ravel()
 
-    # Truncation point of the -inf limit, relative to the batch's own scale
-    # so windows deep in the decaying tail keep their relative accuracy.
-    values = g.evaluate(flat)
-    check_finite(g.label, flat, values)
-    L = effective_lower_cutoff(g, _relative_epsilon(CUTOFF_EPSILON, np.max(np.abs(values))))
-    T = np.sqrt(np.maximum(flat - L, 0.0))
+    # Truncation point of the -inf limit, one per batch.
+    T = np.sqrt(np.maximum(_cutoff_span(g, flat, g.evaluate(flat), CUTOFF_EPSILON), 0.0))
 
     q, d = _flatten_exponent(mu)
     result = 2.0 * q / gamma(mu) * _power_kernel(g, d, 2.0 * q, flat, T ** (1.0 / q), cfg)

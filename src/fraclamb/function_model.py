@@ -349,61 +349,53 @@ class ShiftedGaussian(SmoothFunction):
         return he.reshape(np.shape(x))
 
     @functools.cached_property
-    def _tail_terms(self):
-        """(k, peak_k, sigma^(-k) sum|He_k coeffs|, flat envelope_k) for k <= K+1.
+    def _top_term(self):
+        """(k, peak_k, sigma^(-k) sum|He_k coeffs|, flat envelope_k) for k = K+1.
 
         The envelope max over tau <= t of max(1,|tau|)^k e^(-tau^2/2) peaks at
         |tau| = sqrt(k) and decreases beyond it: left of -peak_k it is
-        |t|^k e^(-t^2/2), elsewhere the flat maximum. sigma^(-k) raises
-        OverflowError for a tiny sigma, which effective_lower_cutoff reads as
-        an infinite bound.
+        |t|^k e^(-t^2/2), elsewhere the flat maximum k^(k/2) e^(-k/2). Both
+        it and sigma^(-k) sum|He_k| (the involution numbers 1, 1, 2, 4, 10,
+        ...) are log-convex in k, so over k <= K+1 the bound on |f^(k)| is
+        largest at k = 0 or at k = K+1, the only two terms tail_bound keeps.
+        sigma^(-k) raises OverflowError for a tiny sigma, which
+        effective_lower_cutoff reads as an infinite bound.
         """
-        terms = []
-        for k in range(self.derivative_order + 2):
-            hk = float(np.abs(_hermite_coeffs(k)).sum())
-            peak = max(1.0, math.sqrt(k) if k else 1.0)
-            flat = max(1.0, k ** (k / 2.0) * math.exp(-k / 2.0) if k else 1.0)
-            terms.append((k, peak, self.sigma ** (-k) * hk, flat))
-        return tuple(terms)
-
-    @functools.cached_property
-    def _log_tail_terms(self):
-        """(k, peak_k, log scale_k, log envelope_k) for _cutoff_guess."""
-        return tuple((k, peak, math.log(scale) if scale else -math.inf, math.log(flat))
-                     for k, peak, scale, flat in self._tail_terms)
+        k = self.derivative_order + 1
+        hk = float(np.abs(_hermite_coeffs(k)).sum())
+        return k, math.sqrt(k), self.sigma ** (-k) * hk, k ** (k / 2.0) * math.exp(-k / 2.0)
 
     def tail_bound(self, L):
         t = (float(L) - self.c) / self.sigma
         gauss = math.exp(-0.5 * t * t)
-        worst = 0.0
-        for k, peak, scale, flat in self._tail_terms:
-            envelope = abs(t) ** k * gauss if t <= -peak else flat
-            worst = max(worst, scale * envelope)
-        return worst
+        k, peak, scale, flat = self._top_term
+        return max(gauss if t <= -1.0 else 1.0,
+                   scale * (abs(t) ** k * gauss if t <= -peak else flat))
 
     def value_tail_bound(self, L):
         t = (float(L) - self.c) / self.sigma
         return math.exp(-0.5 * t * t) if t < 0 else 1.0
 
     def _cutoff_guess(self, log_eps, value_only):
-        # In s = -t the value bound crosses eps at s^2/2 = -log eps. Term k
-        # crosses it where h_k(s) = s^2/2 - k log s - R_k = 0, with
-        # R_k = log scale_k - log eps, or at its jump s = peak_k if
-        # h_k(peak_k) >= 0; the bound crosses at the largest of these, so a
-        # term is solved only if it still exceeds eps there. h_k is convex
-        # right of peak_k: Newton converges once its first step overshoots.
+        # In s = -t the value bound crosses eps at s^2/2 = -log eps, and the
+        # order-0 term at the larger of that and its jump s = 1. The top
+        # term k crosses it where h(s) = s^2/2 - k log s - R = 0, with
+        # R = log scale_k - log eps, or at its jump s = peak_k if
+        # h(peak_k) >= 0; h is convex right of peak_k, so Newton converges
+        # once its first step overshoots. The bound crosses at the larger.
+        root = math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else 0.0
         if value_only:
-            return self.c - self.sigma * math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else None
+            return self.c - self.sigma * root if root else None
+        k, peak, scale, flat = self._top_term
+        R = (math.log(scale) if scale else -math.inf) - log_eps
         s = 0.0
-        for k, peak, log_scale, log_flat in reversed(self._log_tail_terms):
-            R = log_scale - log_eps
-            if (0.5 * s * s - k * math.log(s) >= R) if s >= peak else (log_flat <= -R):
-                continue  # term k is within eps left of s
+        if math.log(flat) > -R:
             s = peak
             if 0.5 * s * s - k * math.log(s) < R:
                 s = math.sqrt(max(2.0 * R, peak * peak)) + 1.0
                 for _ in range(6):
                     s -= (0.5 * s * s - k * math.log(s) - R) / (s - k / s)
+        s = max(s, 1.0, root) if root else s
         return None if s == 0.0 else self.c - self.sigma * s
 
 
@@ -442,12 +434,6 @@ def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
 # ---------------------------------------------------------------------------
 # Truncation of the -inf limit
 # ---------------------------------------------------------------------------
-
-def _relative_epsilon(epsilon: float, scale: float) -> float:
-    """epsilon * scale (epsilon where scale is 0), floored at the least
-    subnormal so that a scale below about 1e-312 does not give 0."""
-    return max(epsilon * (float(scale) or 1.0), 5e-324)
-
 
 def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool = False) -> float:
     """The point L where f's tail bound crosses epsilon, with bound(L) <= epsilon.

@@ -27,6 +27,7 @@ adaptively.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,8 @@ class PosDefMatrix:
             )
         self.entries = M
         self.factor = factor
-        self.det = float(np.prod(pivots))
+        with np.errstate(over="ignore"):  # det may overflow where sqrt(det) does not
+            self.det = float(np.prod(pivots))
         self.n = M.shape[0]
 
     @classmethod
@@ -208,7 +210,11 @@ def solve_quadform(f: SmoothFunction, A: PosDefMatrix,
     if not isinstance(A, PosDefMatrix):
         A = PosDefMatrix(A)
     n = A.n
-    return _solution(f, n / 2.0, math.sqrt(A.det) * math.pi ** (-n / 2.0),
+    # sqrt(det A) is the product of the factor's diagonal, which fits where
+    # det itself is 0, subnormal or inf.
+    root_det = (math.sqrt(A.det) if sys.float_info.min <= A.det < math.inf
+                else math.prod(np.diag(A.factor).tolist()))
+    return _solution(f, n / 2.0, root_det * math.pi ** (-n / 2.0),
                      f"u_quadform[det={A.det:g}]({f.label})", cfg)
 
 

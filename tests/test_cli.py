@@ -362,6 +362,17 @@ def test_default_quadform_gate_catches_a_wrong_constant(matrix, factor, code, mo
     assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale, n", [(1e-110, 3), (1e-300, 2), (1e110, 3)])
+def test_matrix_whose_det_does_not_fit_verifies(scale, n, tmp_path, capsys):
+    # det A = scale^n is 0 or inf as a float; sqrt(det A) is not (see
+    # test_quadform_constant_fits_where_det_does_not for the values).
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps((scale * np.eye(n)).tolist()))
+    assert main(["verify", "--variant", "quadform", "--matrix", str(path), "--function", "exp",
+                 "--window", "-1:1", "--probes", "5", "--mc-samples", "50000"]) == 0
+    assert "PASS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["non_numeric_matrix", "ragged_matrix", "matrix_not_utf8",
                                   "matrix_is_directory", "output_dir_missing"])
 def test_bad_file_input_exits_two(kind, tmp_path, capsys):

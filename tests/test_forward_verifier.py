@@ -182,6 +182,13 @@ def test_quadform_identity_matches_montecarlo_bitwise():
     assert mc == qf
 
 
+def test_forward_quadform_accepts_a_nested_list():
+    rows = [[2.0, 1.0], [1.0, 2.0]]
+    u = Exponential(1.0)
+    assert forward_quadform_mc(u, rows, 0.3, CFG) == forward_quadform_mc(
+        u, PosDefMatrix(rows), 0.3, CFG)
+
+
 def test_forward_quadform_examples():
     u = Exponential(1.0)
     est, se = forward_quadform_mc(u, PosDefMatrix([[4.0, 0.0], [0.0, 1.0]]), 0.0, CFG)

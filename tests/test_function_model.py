@@ -164,7 +164,8 @@ def test_tail_bounds_match_per_call_formulas():
     for t in switches:
         ts += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), t - 1e-9, t + 1e-9]
     for f in (ShiftedGaussian(1.0, 0.0), ShiftedGaussian(0.5, 1.0), ShiftedGaussian(2.0, -0.3),
-              ShiftedGaussian(1e-3, 0.2)):
+              ShiftedGaussian(1e-3, 0.2), ShiftedGaussian(5.0, 0.0), ShiftedGaussian(100.0, 0.4),
+              ShiftedGaussian(1e6, -2.0)):
         for t in ts:
             L = f.c + f.sigma * t
             assert f.tail_bound(L) == _shifted_gaussian_bound_per_call(f, L)
@@ -174,6 +175,64 @@ def test_tail_bounds_match_per_call_formulas():
     for _ in range(2):
         with pytest.raises(OverflowError):
             tiny.tail_bound(-1.0)
+
+
+def test_gaussian_tail_terms_are_log_convex_in_the_order():
+    # Why ShiftedGaussian.tail_bound keeps only orders 0 and K+1: the log of
+    # each factor of the bound on |f^(k)|, the scale sigma^(-k) sum|He_k|
+    # and the flat envelope k^(k/2) e^(-k/2), is convex in k (left of its
+    # peak the envelope |t|^k e^(-t^2/2) is log-linear in k), so their
+    # product is largest at an end of 0 <= k <= K+1.
+    ks = np.arange(BUILTIN_ORDER + 2)
+    involutions = [float(np.abs(_hermite_coeffs(k)).sum()) for k in ks]
+    assert involutions == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
+    for sigma in (1e-3, 0.05, 1.0, 5.0, 100.0, 1e6, 1e150):
+        log_scale = -ks * math.log(sigma) + np.log(involutions)
+        assert np.all(np.diff(log_scale, 2) >= -1e-12 * np.max(np.abs(log_scale))), sigma
+    log_flat = [k / 2.0 * math.log(k) - k / 2.0 if k else 0.0 for k in ks]
+    assert np.all(np.diff(log_flat, 2) > 0.0)
+
+
+def _shifted_gaussian_guess_per_term(f, log_eps, value_only):
+    """The cutoff guess from every order k <= K+1: the largest per-term
+    crossing, a term solved only where it still exceeds eps there."""
+    if value_only:
+        return f.c - f.sigma * math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else None
+    s = 0.0
+    for k in reversed(range(f.derivative_order + 2)):
+        scale = f.sigma ** (-k) * float(np.abs(_hermite_coeffs(k)).sum())
+        peak = max(1.0, math.sqrt(k) if k else 1.0)
+        log_flat = math.log(max(1.0, k ** (k / 2.0) * math.exp(-k / 2.0) if k else 1.0))
+        R = (math.log(scale) if scale else -math.inf) - log_eps
+        if (0.5 * s * s - k * math.log(s) >= R) if s >= peak else (log_flat <= -R):
+            continue
+        s = peak
+        if 0.5 * s * s - k * math.log(s) < R:
+            s = math.sqrt(max(2.0 * R, peak * peak)) + 1.0
+            for _ in range(6):
+                s -= (0.5 * s * s - k * math.log(s) - R) / (s - k / s)
+    return None if s == 0.0 else f.c - f.sigma * s
+
+
+def test_gaussian_cutoff_guess_matches_the_per_term_guess():
+    # Up to sigma = 10 the two-crossing guess is the per-term one bit for
+    # bit. Above, order 0 decides, and its closed-form sqrt(-2 log eps) may
+    # be one ulp off 6 Newton steps (c = 0 and a power-of-two sigma make an
+    # ulp of the guess an ulp of the crossing).
+    log_eps = [math.log(eps) for eps in 10.0 ** -np.arange(-3.0, 308.0)]
+    for f in (ShiftedGaussian(1e-3, 0.2), ShiftedGaussian(0.05, 0.0), ShiftedGaussian(0.5, 1.0),
+              ShiftedGaussian(1.0, 0.0), ShiftedGaussian(2.0, -0.3), ShiftedGaussian(5.0, 0.0),
+              ShiftedGaussian(10.0, 0.7)):
+        for le in log_eps:
+            for value_only in (False, True):
+                assert f._cutoff_guess(le, value_only) == _shifted_gaussian_guess_per_term(
+                    f, le, value_only), (f.label, le, value_only)
+    for f in (ShiftedGaussian(64.0, 0.0), ShiftedGaussian(2.0 ** 20, 0.0),
+              ShiftedGaussian(2.0 ** 500, 0.0)):
+        for le in log_eps:
+            got, want = f._cutoff_guess(le, False), _shifted_gaussian_guess_per_term(f, le, False)
+            assert (got is None) == (want is None), (f.label, le)
+            assert want is None or abs(got - want) <= math.ulp(want), (f.label, le)
 
 
 def _full_bisection(f, epsilon, value_only):
@@ -647,6 +706,17 @@ def test_panel_whose_series_read_raises_is_read_directly():
     grid = sample(u, 0.0, 1.0, 1000)
     assert _panel_series(u, 0.0, 1.0) is None
     assert np.array_equal(grid.values, _panels_read_directly(u, grid))
+
+
+def test_panel_whose_series_read_is_not_finite_is_read_directly():
+    # u is NaN at x = 0.5, the middle Chebyshev point of [0, 1] and no
+    # grid point: the series does not stand, and the grid is read directly.
+    u = CallableFunction(lambda x: np.where(x == 0.5, np.nan, np.exp(x)))
+    u.quadrature_valued = True
+    grid = sample(u, 0.0, 1.0, 1000)
+    assert _panel_series(u, 0.0, 1.0) is None
+    assert np.array_equal(grid.values, _panels_read_directly(u, grid))
+    assert np.isfinite(grid.values).all()
 
 
 @pytest.mark.parametrize("evaluate, window, sizes", [

@@ -66,6 +66,11 @@ class TestPosDefMatrix:
         with pytest.raises(DomainError):
             PosDefMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            PosDefMatrix([[1.0, 0.0], [0.0, bad]])
+
 
 class TestProblemSpec:
     def test_variant_field_requirements(self):
@@ -195,6 +200,26 @@ def test_solve_quadform_examples():
 
     u_full = solve_quadform(f, PosDefMatrix([[2.0, 1.0], [1.0, 2.0]]), CFG)
     assert rel_error(u_full(xs), math.sqrt(3.0) * np.exp(xs) / math.pi) < 1e-13
+
+
+@pytest.mark.parametrize("scale, n", [(1e-110, 3), (1e-300, 2), (1e110, 3)])
+def test_quadform_constant_fits_where_det_does_not(scale, n):
+    # det A = scale^n under- or overflows (without a numpy warning), while
+    # sqrt(det A) = scale^(n/2) is a normal float: u = sqrt(det A)
+    # pi^(-n/2) e^x for f = e^x.
+    A = PosDefMatrix(scale * np.eye(n))
+    assert A.det in (0.0, math.inf)
+    u = solve_quadform(Exponential(1.0), A, CFG)
+    for x in (-1.0, 0.0, 1.0):
+        assert rel_error(u(x), scale ** (n / 2.0) * math.pi ** (-n / 2.0) * math.exp(x)) < 1e-10
+
+
+def test_solve_quadform_accepts_a_nested_list():
+    rows = [[2.0, 1.0], [1.0, 2.0]]
+    f = Exponential(1.0)
+    xs = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(solve_quadform(f, rows, CFG)(xs),
+                          solve_quadform(f, PosDefMatrix(rows), CFG)(xs))
 
 
 def test_fractional_order_solutions_are_marked_quadrature_valued():

@@ -9,15 +9,17 @@ The ``verify`` and ``solve_grid`` decks of ``bench/workloads.py`` are built
 at each seed in SEEDS, with their matrix files in a temporary directory.
 Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
 ``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
-(``--matrix 2``) operators on each built-in function, and a classic
+(``--matrix 2``) operators on each built-in function, a classic
 ``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
-grid whose every panel is sparse. Every op runs once per tree, through
-``fraclamb.cli.main`` in one subprocess per tree and deck (the fixed ops
-make one more), with that tree's ``src`` first on ``sys.path``; a
-fraclamb imported from anywhere else is refused.
+grid whose every panel is sparse, and ``verify`` on a narrow and a wide
+Gaussian, outside the decks' sigma range [0.5, 2]. Every op runs once per
+tree, through ``fraclamb.cli.main`` in one subprocess per tree and deck
+(the fixed ops make one more), with that tree's ``src`` first on
+``sys.path``; a fraclamb imported from anywhere else is refused.
 
-Per workload (``selftest``, ``forward`` and ``solve`` for the fixed ops)
-it prints how many ops were compared and how many gave byte-identical
+Per workload (for the fixed ops, their subcommand: ``selftest``,
+``forward``, ``solve``, and ``verify``, counted with the deck's ``verify``
+ops) it prints how many ops were compared and how many gave byte-identical
 exit code, stdout and stderr, then one line per op that differs, sizing
 the move against the parent's output:
 
@@ -100,6 +102,11 @@ def fixed_ops() -> list:
     for function in FUNCTIONS:
         ops.append(("classic", ["solve", "--variant", "classic", "--function", function,
                                 *SPARSE_GRID]))
+    # A narrow and a wide Gaussian: every bench draw has sigma in [0.5, 2].
+    ops.append(("classic", ["verify", "--variant", "classic", "--function",
+                            "shifted_gaussian:sigma=0.05", "--window", "-0.1:0.05"]))
+    ops.append(("symmetric_ndim", ["verify", "--variant", "symmetric_ndim", "-n", "3", "--function",
+                                   "shifted_gaussian:sigma=5", "--window", "-10:5"]))
     return ops
 
 
