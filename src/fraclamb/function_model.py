@@ -248,14 +248,12 @@ def _horner(x, coeffs: np.ndarray):
     return out
 
 
-def _clenshaw(coef: np.ndarray, t: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
-    place over four buffers instead of three new arrays per term. The
-    buffers are the rows of work, shaped (4,) + t.shape, if given (the sum
-    is returned in one of them), else new."""
+    place over four buffers instead of three new arrays per term."""
     if coef.size == 1:
         coef = np.append(coef, 0.0)
-    x2, c0, c1, spare = np.empty((4,) + t.shape) if work is None else work
+    x2, c0, c1, spare = np.empty((4,) + t.shape)
     np.multiply(2.0, t, out=x2)
     c0.fill(coef[-2])
     c1.fill(coef[-1])
@@ -591,8 +589,9 @@ def _checked_series(f, lo: float, hi: float, checks: np.ndarray, chop: float, le
     checks must be known before the series is summed anywhere: ``sample``
     checks 4 fixed points per panel and sums the series at the panel's
     nodes; the quadratic-form lattice rule checks 256 fixed points spread
-    evenly over [0, sqrt(S)] and sums the series block by block of its
-    samples, in the work buffers it holds per thread.
+    evenly over [0, sqrt(S)] and sums the series at the edges and
+    midpoints of the cells of the cubic Hermite table it reads its
+    samples off.
     """
     half = 0.5 * (hi - lo)
     try:

@@ -619,6 +619,74 @@ def test_no_sample_below_the_span_reads_only_u_at_x(monkeypatch):
     assert estimate == 0.0
 
 
+def _recording_series(monkeypatch):
+    """The chopped coefficients of each series the proxy builds, as a list."""
+    coefs, checked_series = [], forward_verifier._checked_series
+
+    def recording(*args):
+        got = checked_series(*args)
+        coefs.append(None if got is None else got[0])
+        return got
+
+    monkeypatch.setattr(forward_verifier, "_checked_series", recording)
+    return coefs
+
+
+def _series_at(coef, forms, span):
+    """The checked series of s -> u(x - min(s^2, span)) at s = sqrt(forms)."""
+    return function_model._clenshaw(coef, np.sqrt(forms) / (0.5 * math.sqrt(span)) - 1.0)
+
+
+@BUILT_INS
+def test_table_holds_every_sample_near_the_series(f, monkeypatch):
+    # The table is checked at its cell midpoints only; it holds at every
+    # sample below the span, within _PROXY_TABLE_LEVEL of max|u|.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(f, A, PROXY_CFG)
+    coefs = _recording_series(monkeypatch)
+    seen = _recording_samples(monkeypatch)
+    for x in (-1.0, 0.3):
+        forward_quadform_mc(u, A, x, PROXY_CFG)
+    assert len(coefs) == len(seen) == 2
+    for coef, (forms, x, span, vals) in zip(coefs, seen):
+        inside = forms <= span
+        series = _series_at(coef, forms[inside], span)
+        assert np.max(np.abs(vals[inside] - series)) <= 1e-11 * np.max(np.abs(series))
+
+
+def test_high_degree_proxy_doubles_its_cells(monkeypatch):
+    # 94 coefficients stay: 2048 cells leave the table 2.3e-10 of max|u| off
+    # the series, so it doubles until it holds 1e-11 of max|u| again.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(ShiftedGaussian(0.2), A, PROXY_CFG)
+    x = 1.0
+    span = forward_verifier._decay_span(u, x, u(x), CUTOFF_EPSILON)
+    coefs = _recording_series(monkeypatch)
+    table = forward_verifier._proxy_table(u, x, span, PROXY_CFG)
+    assert coefs[0].size >= 90 and table.shape[1] > forward_verifier._PROXY_CELLS
+    forms = np.linspace(0.0, span, 100_001)
+    work, cell = np.empty((3, forms.size)), np.empty(forms.size, np.intp)
+    vals = forward_verifier._sample_values(u, forms, x, span, forms > span, lambda: table,
+                                           work, cell, forms.size)
+    series = _series_at(coefs[0], forms, span)
+    assert np.max(np.abs(vals - series)) <= 1e-11 * np.max(np.abs(series))
+
+
+def test_table_that_cannot_stand_reads_u_directly(monkeypatch):
+    # Past _PROXY_CELLS_CAP the table does not stand, though the series
+    # does: the samples below the span are read directly, shift by shift.
+    A = PROXY_MATRICES[1]
+    u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked=True)
+    seen = _recording_samples(monkeypatch)
+    coefs = _recording_series(monkeypatch)
+    monkeypatch.setattr(forward_verifier, "_PROXY_TABLE_LEVEL", 0.0)
+    forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+    assert coefs[0] is not None
+    forms, _, span, _ = seen[-1]
+    below = np.sum(forms.reshape(-1, 256) <= span, axis=1)
+    assert sizes == [1, 129 + 256] + [int(b) for b in below if b]
+
+
 def test_error_on_proxy_nodes_keeps_its_class():
     def evaluate(xs):
         if np.size(xs) > 1:
@@ -658,6 +726,19 @@ def test_blocks_of_shifts_change_no_float(monkeypatch):
         monkeypatch.setattr(forward_verifier, "_BLOCK_SAMPLES", block)
         assert [forward_quadform_mc(u, A, x, STREAM_CFG)
                 for u, A in cases for x in (-1.0, 0.3)] == whole
+    # A proxy that fails reads u directly shift by shift, so neither the
+    # blocks nor the direct reads' chunks (of the default size, or shorter
+    # than a shift of N = 256) change a float.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(Exponential(1.0), A, PROXY_CFG)
+    monkeypatch.setattr(forward_verifier, "_PROXY_CHOP", 0.0)
+    for direct in (function_model._DIRECT_BLOCK, 100):
+        monkeypatch.setattr(function_model, "_DIRECT_BLOCK", direct)
+        monkeypatch.setattr(forward_verifier, "_BLOCK_SAMPLES", 2 ** 20)
+        whole = forward_quadform_mc(u, A, 0.3, PROXY_CFG)
+        for block in (256, 1280, 2 ** 14):
+            monkeypatch.setattr(forward_verifier, "_BLOCK_SAMPLES", block)
+            assert forward_quadform_mc(u, A, 0.3, PROXY_CFG) == whole
 
 
 def test_threads_running_probes_get_the_sequential_floats():

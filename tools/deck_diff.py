@@ -11,8 +11,10 @@ Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
 ``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
 (``--matrix 2``) operators on each built-in function, a classic
 ``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
-grid whose every panel is sparse, and ``verify`` on a narrow and a wide
-Gaussian, outside the decks' sigma range [0.5, 2]. Every op runs once per
+grid whose every panel is sparse, ``verify`` on a narrow and a wide
+Gaussian, outside the decks' sigma range [0.5, 2], and a quadform
+``verify`` of ``gauss_tail`` at the CLI's default sample budget, the one
+op that reads the quadform proxy at 1e6 samples. Every op runs once per
 tree, through ``fraclamb.cli.main`` in one subprocess per tree and deck
 (the fixed ops make one more), with that tree's ``src`` first on
 ``sys.path``; a fraclamb imported from anywhere else is refused.
@@ -107,6 +109,10 @@ def fixed_ops() -> list:
                             "shifted_gaussian:sigma=0.05", "--window", "-0.1:0.05"]))
     ops.append(("symmetric_ndim", ["verify", "--variant", "symmetric_ndim", "-n", "3", "--function",
                                    "shifted_gaussian:sigma=5", "--window", "-10:5"]))
+    # The quadform proxy at the CLI's default budget, on a u that is not exp.
+    ops.append(("quadform", ["verify", "--variant", "quadform", "--matrix", "2", "--function",
+                             "gauss_tail", "--window", "-1:1", "--probes", "3",
+                             "--format", "json"]))
     return ops
 
 
