@@ -25,9 +25,10 @@ order; its standard error comes from the spread of the shifts. Every
 forward integral stops at u's decay span S (``_decay_span``). A
 quadrature-valued u (one Weyl integral per value) is never read past S, and
 below it off a cubic Hermite table per probe (``_sample_values``): one
-gather per table row and a Horner step per sample. The table is built over
-one checked Chebyshev series, from the helper ``function_model.sample``
-reads grids through, and stands only within 1e-11 of max|u| of it.
+gather per table row and a Horner step per sample. ``_cheb``, the core
+``function_model.sample`` reads grids through too, builds it over one
+checked Chebyshev series from one cached matrix product, and it stands only
+within 1e-11 of max|u| of the series.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cheb import _ODD, _checked_series, _hermite_table
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
 from .fractional_ops import _cutoff_span, _power_kernel
-from .function_model import (_DIRECT_BLOCK, CUTOFF_EPSILON, SmoothFunction, _checked_series,
-                             _clenshaw, _read_direct, check_window)
+from .function_model import (_DIRECT_BLOCK, CUTOFF_EPSILON, SmoothFunction, _read_direct,
+                             check_window)
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -76,17 +78,8 @@ _LOGISTIC_KAPPA = 0.75
 _LOGISTIC_DECAY = 1e-8
 
 # Chebyshev proxy for a quadrature-valued u: the level below which its
-# trailing coefficients are dropped (relative to the largest), and how many
-# fixed points check it against direct values.
+# trailing coefficients are dropped (relative to the largest).
 _PROXY_CHOP = 1e-13
-_PROXY_CHECKS = 256
-# The proxy's cubic Hermite table over the series: its first number of
-# cells, the most it may double to, and how close to the series it must
-# stay at every cell midpoint, relative to the series' largest edge value
-# (below the chop's 2.6e-11 budget and 100x inside the default tol).
-_PROXY_CELLS = 2048
-_PROXY_CELLS_CAP = 2 ** 16
-_PROXY_TABLE_LEVEL = 1e-11
 # The lattice rule runs its samples in blocks of whole shifts, of at most
 # _BLOCK_SAMPLES samples (one shift where a shift is longer), through
 # buffers held per thread (_work), so that a probe's memory does not grow
@@ -169,71 +162,36 @@ def _probe_rng(seed: int, x: float) -> np.random.Generator:
 
 
 def _proxy_table(u: SmoothFunction, x: float, span: float, cfg: QuadratureConfig):
-    """The cubic Hermite table ``_sample_values`` reads a quadrature-valued u
-    off, a (4, M) array, or None where it does not stand.
+    """The cubic Hermite table ``_sample_values`` reads a quadrature-valued
+    u off (``_cheb._hermite_table``, in s), or None where it does not stand.
 
-    It is built over the checked Chebyshev series (``_checked_series``) of
-    s -> u(x - min(s^2, span)) on [0, sqrt(span)]; in s an exponential tail
-    becomes a Gaussian, which degree 128 resolves. The series is checked at
-    _PROXY_CHECKS fixed points spread evenly in s (the midpoints of as many
-    equal cells), read in the same call of u as its 129 nodes. It stands if
-    at least 16 trailing coefficients are below _PROXY_CHOP of the largest
-    (they are dropped: max|c| <= 2 max|u|, so a value moves by at most
-    128 * 2e-13 max|u| = 2.6e-11 max|u|, 40x inside the check at the default
+    It is built over the checked Chebyshev series of s -> u(x - min(s^2,
+    span)) on [0, sqrt(span)], read at 257 points, 129 nodes and 128 checks;
+    in s an exponential tail becomes a Gaussian, which degree 128 resolves.
+    The series stands if at least 16 trailing coefficients are below
+    _PROXY_CHOP of the largest (dropped, with max|c| <= 2 max|u|, they move a
+    value by at most 2.6e-11 max|u|, 40x inside the check at the default
     tol) and it is within cfg.tol * max|u(checks)| of u at the checks.
-
-    The table's rows are the Horner coefficients y0, d0, 3 (y1 - y0) - 2 d0
-    - d1 and 2 (y0 - y1) + d0 + d1 of each of M equal cells in s, from the
-    series' values y and slopes d (in cell units) at the cell's two edges,
-    both summed by ``_clenshaw``. M starts at _PROXY_CELLS and doubles
-    until the table is within _PROXY_TABLE_LEVEL * max|series at the edges|
-    of the series at every cell midpoint, where a cubic Hermite cell's
-    error peaks; past _PROXY_CELLS_CAP it does not stand.
     """
-    root = math.sqrt(span)
-    checks = (np.arange(_PROXY_CHECKS) + 0.5) * (root / _PROXY_CHECKS)
     got = _checked_series(lambda s: u.evaluate(x - np.minimum(s * s, span)),
-                          0.0, root, checks, _PROXY_CHOP, cfg.tol)
-    if got is None:
-        return None
-    coef = got[0]
-    slope = np.polynomial.chebyshev.chebder(coef)
-    cells = _PROXY_CELLS
-    while cells <= _PROXY_CELLS_CAP:
-        # Edges at even k, midpoints at odd k, in t = 2 s / sqrt(span) - 1.
-        t = np.arange(2 * cells + 1) / cells - 1.0
-        y = _clenshaw(coef, t)
-        d = _clenshaw(slope, t[::2])
-        d *= 2.0 / cells
-        y0, y1, d0, d1 = y[:-2:2], y[2::2], d[:-1], d[1:]
-        table = np.array([y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1])
-        mid = ((table[3] * 0.5 + table[2]) * 0.5 + table[1]) * 0.5 + table[0]
-        if np.max(np.abs(mid - y[1::2])) <= _PROXY_TABLE_LEVEL * np.max(np.abs(y[::2])):
-            return table
-        cells *= 2
-    return None
+                          0.0, math.sqrt(span), _ODD, _PROXY_CHOP, cfg.tol)
+    return None if got is None else _hermite_table(got[0])
 
 
 def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
                    past: np.ndarray, table, work: np.ndarray, cell: np.ndarray,
                    shift: int) -> np.ndarray:
     """u(x - form) at the samples' quadratic forms, all of them >= 0, for
-    the caller to truncate past span; past is forms > span. A u that is not
-    quadrature-valued is evaluated at every sample in one call, into a new
-    array.
-
-    Otherwise u is never read past span, where the values are 0, and the
-    values are written into work, a (3, forms.size) float array (they are
-    returned in one of its rows), with each sample's cell in cell, a
-    forms.size intp array. Below span u is read off the table table()
-    gives (``_proxy_table``) at s = sqrt(min(form, span)): one gather per
-    table row at s's cell, then Horner in s's fraction of the cell. The
-    table is built once per probe, by the caller, and table() is called
-    here only when a sample lies below span: with none, u is not read here
-    at all. Where the table does not stand, u is read at every sample below
-    span shift by shift (each shift is the next ``shift`` samples),
-    _DIRECT_BLOCK per call, so no value depends on how many shifts share a
-    block.
+    the caller to zero past span (past is forms > span). A u that is not
+    quadrature-valued is evaluated at every sample in one call. Otherwise
+    the values go into work, a (3, forms.size) float array, and each
+    sample's cell into cell, a forms.size intp array. They are read off the
+    table table() gives at s = sqrt(min(form, span)), so past span off its
+    closing cell: one gather per table row, then Horner in s's fraction of
+    the cell. table() is called only when a sample lies below span; with
+    none, the values are 0. Where the table does not stand, u is read at
+    every sample below span, shift by shift (``shift`` samples each),
+    _DIRECT_BLOCK per call, and the values past span are 0.
     """
     if not u.quadrature_valued:
         return u.evaluate(x - forms)
@@ -242,23 +200,21 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
         vals.fill(0.0)
         return vals
     rows = table()
-    if rows is not None:
-        cells = rows.shape[1]
-        np.minimum(forms, span, out=p)
-        np.sqrt(p, out=p)
-        p *= cells / math.sqrt(span)
-        np.copyto(cell, p, casting="unsafe")  # floor, as p >= 0
-        np.minimum(cell, cells - 1, out=cell)
-        p -= cell
-        np.take(rows[3], cell, out=vals, mode="clip")
-        for row in rows[2::-1]:
-            vals *= p
-            vals += np.take(row, cell, out=term, mode="clip")
-    else:
+    if rows is None:
         for i in range(0, forms.size, shift):
             below = ~past[i:i + shift]
             vals[i:i + shift][below] = _read_direct(u, x - forms[i:i + shift][below])
-    np.copyto(vals, 0.0, where=past)
+        np.copyto(vals, 0.0, where=past)
+        return vals
+    np.minimum(forms, span, out=p)
+    np.sqrt(p, out=p)
+    p *= (rows.shape[1] - 1) / math.sqrt(span)
+    np.copyto(cell, p, casting="unsafe")  # floor, as p >= 0
+    p -= cell
+    np.take(rows[3], cell, out=vals, mode="clip")
+    for row in rows[2::-1]:
+        vals *= p
+        vals += np.take(row, cell, out=term, mode="clip")
     return vals
 
 
@@ -277,22 +233,17 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     y^T A y is built from A.entries in two passes, (y A) . y, never from A's
     determinant, Cholesky factor or the polar reduction. The scale c moves
     only the variance, never the mean; it is sized from u's decay and A's
-    smallest pivot. ``_sample_values`` reads u, a quadrature-valued one only
-    below S, off one cubic Hermite table per probe, over a checked series,
-    built at the first block that holds a sample below S, and where that
-    does not stand directly, shift by shift, in batches that do not grow
-    with N q.
+    smallest pivot. ``_sample_values`` reads u.
 
     The samples run in blocks of whole shifts, at most _BLOCK_SAMPLES
-    (2^14) samples or one shift, through flat float, intp and bool buffers
-    held per thread and reused by every later probe on that thread,
-    whatever its n: (2 n + 5) floats, 1 intp and 2 bools per sample of a
-    block, at n = 3 1.6 MB for 5e4 samples and 3.2 MB for the default 1e6
-    (one shift of 2^15 samples per block), beside the cached lattice
-    points (n N floats) and the table (4 M floats, 64 KB at M = 2048).
-    Each shift's mean is taken over its own N values, and a direct read
-    never spans two shifts, so the result is the same in one block or
-    several, and on any thread.
+    (2^14) samples or one shift, through flat buffers held per thread and
+    reused by every later probe on that thread, whatever its n: (2 n + 5)
+    floats, 1 intp and 2 bools per sample of a block, at n = 3 1.6 MB for
+    5e4 samples and 3.2 MB for the default 1e6, beside the cached lattice
+    points (n N floats), the table (4 (M + 1) floats, 64 KB at M = 2048)
+    and ``_cheb``'s cached matrix. Each shift's mean is taken over its own
+    N values, and a direct read never spans two shifts, so the result is
+    the same in one block or several, and on any thread.
 
     Returns (estimate, standard_error): the mean of the q shift means, and
     the standard error of that mean combined in quadrature with

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._cheb import _NODES, _ODD, _checked_series, _clenshaw
 from .errors import DomainError, FracLambError, NoDecayError, UnsupportedOrderError
 from .special_functions import check_integer
 
@@ -70,10 +71,8 @@ class SmoothFunction:
     ``quadrature_valued`` is True when every value costs a quadrature of
     its own (a Weyl integral) while the function stays smooth, so a
     caller that needs many values may read them off a Chebyshev series
-    checked against direct values. One helper, ``_checked_series``, builds
-    and checks each such series: ``sample`` reads a dense grid off one per
-    fixed panel, and the quadratic-form certificate reads its samples off
-    one per probe.
+    checked against direct values (``_cheb._checked_series``): ``sample``
+    one per fixed panel, the quadratic-form certificate one per probe.
 
     Instances are immutable after construction and safe to share across
     threads for read-only evaluation.
@@ -246,25 +245,6 @@ def _horner(x, coeffs: np.ndarray):
         out *= x
         out += a
     return out
-
-
-def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
-    place over four buffers instead of three new arrays per term."""
-    if coef.size == 1:
-        coef = np.append(coef, 0.0)
-    x2, c0, c1, spare = np.empty((4,) + t.shape)
-    np.multiply(2.0, t, out=x2)
-    c0.fill(coef[-2])
-    c1.fill(coef[-1])
-    for ck in coef[-3::-1]:
-        np.subtract(ck, c1, out=spare)
-        c1 *= x2
-        c1 += c0
-        c0, spare = spare, c0
-    c1 *= t
-    c1 += c0
-    return c1
 
 
 class GaussTail(_ExponentialTail):
@@ -567,77 +547,25 @@ def check_finite(label: str, xs, values) -> None:
     raise FracLambError(f"{label}: non-finite value {values.flat[i]} at x = {xs.flat[i]:.17g}")
 
 
-_PANEL_DEGREE = 128
-_PANEL_NODES = np.sin(np.pi * np.arange(_PANEL_DEGREE, -_PANEL_DEGREE - 1, -2)
-                      / (2 * _PANEL_DEGREE))
-_PANEL_TAIL = 16
-
-
-def _checked_series(f, lo: float, hi: float, checks: np.ndarray, chop: float, level: float):
-    """(coefficients, f at the nodes then at checks) of the Chebyshev series
-    of f on [lo, hi], or None where that series does not stand.
-
-    The series interpolates f at the _PANEL_DEGREE + 1 Chebyshev points of
-    the second kind on [lo, hi]; f, a vectorized callable, is called once,
-    at those nodes and at the points checks of [lo, hi]. The series stands
-    unless that call raises FracLambError or gives a non-finite value, fewer
-    than _PANEL_TAIL trailing coefficients are at most chop times the
-    largest, or it is off f at checks by more than level * max|f(checks)|.
-    The coefficients returned are the chopped ones, the series the check
-    read; the caller evaluates them with ``_clenshaw`` at its own points,
-    mapped onto [-1, 1] as t = (x - lo) / (0.5 (hi - lo)) - 1. So the
-    checks must be known before the series is summed anywhere: ``sample``
-    checks 4 fixed points per panel and sums the series at the panel's
-    nodes; the quadratic-form lattice rule checks 256 fixed points spread
-    evenly over [0, sqrt(S)] and sums the series at the edges and
-    midpoints of the cells of the cubic Hermite table it reads its
-    samples off.
-    """
-    half = 0.5 * (hi - lo)
-    try:
-        read = np.asarray(f(np.concatenate([lo + (_PANEL_NODES + 1.0) * half, checks])))
-    except FracLambError:
-        return None
-    if not np.isfinite(read).all():
-        return None
-    n = _PANEL_NODES.size
-    # The DCT-I of the node values, as the real FFT of their even extension.
-    coef = np.fft.rfft(np.concatenate([read[:n], read[n - 2:0:-1]])).real / _PANEL_DEGREE
-    coef[0] /= 2.0
-    coef[-1] /= 2.0
-    # Coefficient 0 always stays, so an all-zero series stands, exactly.
-    dropped = np.argmin(np.append(np.abs(coef[:0:-1]) <= chop * np.max(np.abs(coef)), False))
-    if dropped < _PANEL_TAIL:
-        return None
-    coef = coef[:coef.size - dropped]
-    series = _clenshaw(coef, (checks - lo) / half - 1.0)
-    if not np.max(np.abs(series - read[n:])) <= level * np.max(np.abs(read[n:])):
-        return None
-    return coef, read
-
-
 # Grid panels for a quadrature-valued f in sample. Panel k is
 # [k _PANEL_WIDTH, (k + 1) _PANEL_WIDTH), a power of two wide so that
-# floor(x / _PANEL_WIDTH) is exact. Its checked series lives on the part of
-# the panel inside the window, read in one batch with the fixed check
-# points (midpoints in angle between nodes, near both ends and inside). It
-# stands when it is resolved at _PANEL_CHOP, is within _PANEL_CHECK *
-# max|f(checks)| of f at the check points, and f does not keep one sign at
-# the nodes and checks while |f| spans more than a factor 1 / _PANEL_RANGE.
-# Of the chops 1e-13, 1e-14 and 3e-15, the last kept the most certified
-# digits on solve_grid, with no panel there left unresolved. The series'
-# error is about 6e-16 of max|f| on the panel whatever the chop, so the
-# range bound keeps a one-signed value's relative error below about
-# 6e-16 / _PANEL_RANGE, where direct values keep theirs near eps; near a
-# zero of f neither route is relatively accurate.
+# floor(x / _PANEL_WIDTH) is exact. Its series, on the panel's part inside
+# the window, is checked at 4 odd grid points (near both ends and inside)
+# at _PANEL_CHOP and _PANEL_CHECK, and stands only if f does not keep one
+# sign at the nodes and checks while |f| spans more than a factor
+# 1 / _PANEL_RANGE. Of the chops 1e-13, 1e-14 and 3e-15, the last kept the
+# most certified digits on solve_grid, with no panel left unresolved. The
+# series' error is about 6e-16 of max|f| on the panel, so the range bound
+# keeps a one-signed value's relative error below about 6e-16 / _PANEL_RANGE;
+# near a zero of f neither route is relatively accurate.
 _PANEL_WIDTH = 1.0
-_PANEL_CHECKS = np.cos(np.pi * np.array([0.5, 42.5, 85.5, 127.5]) / _PANEL_DEGREE)
+_PANEL_CHECKS = _ODD[[0, 42, 85, 127]]
 _PANEL_CHOP = 3e-15
 _PANEL_CHECK = 1e-11
 _PANEL_RANGE = 1e-2
 # A panel with fewer grid points than this is read directly: its series
 # would cost more reads of f than the points themselves.
-_PANEL_COST = _PANEL_NODES.size + _PANEL_CHECKS.size
+_PANEL_COST = _NODES.size + _PANEL_CHECKS.size
 # Most points per direct read of a quadrature-valued f, so that the Weyl
 # batch's rows x nodes arrays stay bounded.
 _DIRECT_BLOCK = 4096
@@ -655,33 +583,26 @@ def sample(f: SmoothFunction, a: float, b: float, count: int) -> GridFunction:
     """Sample f at ``count`` equispaced nodes on [a, b] (endpoints included).
 
     A function that is not ``quadrature_valued`` is read at the nodes in
-    one call. A quadrature-valued one is read panel by panel, on the fixed
-    panels [k w, (k + 1) w), w = _PANEL_WIDTH. A panel holding at least
+    one call. A quadrature-valued one is read on the fixed panels
+    [k w, (k + 1) w), w = _PANEL_WIDTH. A panel holding at least
     _PANEL_COST (133) nodes is read off a Chebyshev series on its part
-    inside the window, from the first node to the last: one call of f at
-    that part's 129 Chebyshev points and 4 check points, chopped and
-    checked by ``_checked_series``, the helper the quadratic-form
-    certificate reads u through too. So f is read only inside the window,
-    up to rounding at its ends. Where that series does not stand, as where
-    f keeps one sign there while |f| spans more than a factor 100, the
-    panel's own nodes are read directly. The nodes of all sparser panels
-    are read together after the dense panels. A direct read goes in chunks
-    of _DIRECT_BLOCK (4096) points per call (``_read_direct``), so that the
-    Weyl batch's memory does not grow with the count. So f is read at no
-    more than 2 * count points, and at no more than count when every
-    dense panel's series stands.
+    inside the window (``_cheb._checked_series``, which the quadratic-form
+    certificate reads u through too): one call of f at 129 nodes and 4
+    checks. Where that series does not stand, as where f keeps one sign
+    there while |f| spans more than a factor 100, the panel's own nodes are
+    read directly, as are the nodes of all sparser panels, together, in
+    chunks of _DIRECT_BLOCK (4096) points per call (``_read_direct``). So
+    f is read only inside the window (up to rounding at its ends), at no
+    more than 2 * count points, and at no more than count when every dense
+    panel's series stands.
 
-    A value on a dense panel that lies wholly inside the window depends
-    only on its panel, f and f's config, not on the window or the count:
-    the same x gives the same float in two windows that both hold its
-    panel densely. A value on a panel the window cuts depends on the cut
-    too, and a value on a sparse panel shares its Weyl batch, and so its
-    cutoff, with the other sparse nodes of its chunk. A series value is no
-    longer f(nodes) bit for bit; on the solve_grid decks the two differ by
-    at most 1.7e-11 relative. The check holds it to 1e-11 of max|f| at the
-    check points (_PANEL_CHECK) whatever the tol f was built with: a tol
-    tighter than that makes the values the series is built from more
-    accurate, but does not tighten the check.
+    A value on a dense panel wholly inside the window depends only on its
+    panel, f and f's config, not on the window or the count. A value on a
+    panel the window cuts depends on the cut too, and one on a sparse panel
+    shares its Weyl batch, and so its cutoff, with its chunk. A series
+    value differs from f at its node by at most 1.7e-11 relative on the
+    solve_grid decks: the check holds it to 1e-11 of max|f| at the checks
+    (_PANEL_CHECK) whatever the tol f was built with.
 
     Raises:
         DomainError: a >= b, the width b - a overflows, or count is not an integer >= 2.
@@ -713,8 +634,7 @@ def _sample_panels(f: SmoothFunction, nodes: np.ndarray) -> np.ndarray:
         xs = nodes[i:j]
         left = panel[i] * _PANEL_WIDTH
         lo, hi = max(left, nodes[0]), min(left + _PANEL_WIDTH, nodes[-1])
-        checks = lo + (_PANEL_CHECKS + 1.0) * (0.5 * (hi - lo))
-        got = _checked_series(f.evaluate, lo, hi, checks, _PANEL_CHOP, _PANEL_CHECK)
+        got = _checked_series(f.evaluate, lo, hi, _PANEL_CHECKS, _PANEL_CHOP, _PANEL_CHECK)
         if got is not None:
             low, high = np.min(got[1]), np.max(got[1])
             if 0.0 < low < _PANEL_RANGE * high or _PANEL_RANGE * low < high < 0.0:

@@ -35,7 +35,7 @@ from fraclamb import (
     sphere_volume,
     verify,
 )
-from fraclamb import _quad, forward_verifier, function_model
+from fraclamb import _cheb, _quad, forward_verifier, function_model
 from fraclamb.function_model import CUTOFF_EPSILON
 from fraclamb.special_functions import gamma
 from conftest import nan_left_of_minus_three, zero_function
@@ -385,7 +385,7 @@ def test_clenshaw_is_chebval_bit_for_bit(terms):
     rng = np.random.default_rng(terms)
     coef = rng.standard_normal(terms)
     t = rng.uniform(-1.0, 1.0, 1000)
-    assert np.array_equal(function_model._clenshaw(coef, t),
+    assert np.array_equal(_cheb._clenshaw(coef, t),
                           np.polynomial.chebyshev.chebval(t, coef))
 
 
@@ -438,7 +438,9 @@ def _recording_samples(monkeypatch):
 
 @BUILT_INS
 def test_proxy_holds_at_every_sample(f, monkeypatch):
-    # The runtime check reads 256 fixed points; this reads every sample.
+    # The runtime check reads the 128 odd grid points; this reads every
+    # sample. Past the span the table's closing cell gives a finite value,
+    # which the lattice rule zeroes.
     A = PROXY_MATRICES[1]
     u = solve_quadform(f, A, PROXY_CFG)
     seen = _recording_samples(monkeypatch)
@@ -447,7 +449,7 @@ def test_proxy_holds_at_every_sample(f, monkeypatch):
     assert len(seen) == 2
     for forms, x, span, vals in seen:
         inside = forms <= span
-        assert np.all(vals[~inside] == 0.0)
+        assert np.isfinite(vals[~inside]).all()
         vals = vals[inside]
         direct = u.evaluate(x - forms[inside])
         # A proxy that failed its check would return these values bit for bit.
@@ -491,20 +493,20 @@ def test_proxy_failing_its_check_falls_back_to_direct_values(monkeypatch):
             forms, _, span, _ = seen[-1]
             # u(x), then the nodes and the checks in one call; then the
             # samples below the span again, in blocks, and none past it.
-            assert sizes[:2] == [1, 129 + 256]
+            assert sizes[:2] == [1, 257]
             fallback = sizes[2:]
             assert max(fallback) <= block and sum(fallback) == np.sum(forms <= span)
 
 
 def test_no_direct_read_grows_with_the_sample_count(monkeypatch):
-    # Past the one call at the proxy's 129 nodes and 256 checks, no call of
+    # Past the one call at the proxy's 129 nodes and 128 checks, no call of
     # u sees more than _DIRECT_BLOCK samples, though the proxy fails and
     # N q is 12 blocks.
     u, sizes = _counting(KINKED, marked=True)
     seen = _recording_samples(monkeypatch)
     cfg = QuadratureConfig(mc_samples=50_000)
     forward_quadform_mc(u, PROXY_MATRICES[1], 0.3, cfg)
-    assert sizes[:2] == [1, 129 + 256]
+    assert sizes[:2] == [1, 257]
     direct = sizes[2:]
     assert max(direct) <= forward_verifier._DIRECT_BLOCK
     # The samples below the span once, those past it never, over the
@@ -530,7 +532,7 @@ def test_proxy_bounds_evaluations_per_probe(f, marked, monkeypatch):
         # u(x) alone, which sizes the logistic map and the span; then the
         # proxy's nodes and its checks together, or every sample, in one call.
         if marked:
-            assert sizes == [1, 129 + 256]
+            assert sizes == [1, 257]
         else:
             assert sizes == [1, LATTICE_SAMPLES]
 
@@ -578,10 +580,13 @@ def test_elementwise_u_is_truncated_at_the_span_too(monkeypatch):
 
 def test_sample_and_quadform_proxy_build_through_one_helper(monkeypatch):
     # Both readers of a quadrature-valued u take their series from
-    # function_model._checked_series, each at its own chop and check level.
-    calls, checked_series = [], function_model._checked_series
+    # _cheb._checked_series, each at its own chop and check level, and
+    # check it at odd points of the one nested grid: sample at 4, the
+    # proxy at all 128.
+    calls, checked_series = [], _cheb._checked_series
 
     def recording(f, lo, hi, checks, chop, level):
+        assert np.isin(checks, _cheb._ODD).all()
         calls.append((lo, hi, checks.size, chop, level))
         return checked_series(f, lo, hi, checks, chop, level)
 
@@ -595,8 +600,7 @@ def test_sample_and_quadform_proxy_build_through_one_helper(monkeypatch):
     u = solve_quadform(Exponential(1.0), A, PROXY_CFG)
     forward_quadform_mc(u, A, 0.3, PROXY_CFG)
     span = forward_verifier._decay_span(u, 0.3, u(0.3), CUTOFF_EPSILON)
-    assert calls == [(0.0, math.sqrt(span), forward_verifier._PROXY_CHECKS,
-                      forward_verifier._PROXY_CHOP, PROXY_CFG.tol)]
+    assert calls == [(0.0, math.sqrt(span), 128, forward_verifier._PROXY_CHOP, PROXY_CFG.tol)]
 
 
 def test_no_sample_below_the_span_reads_only_u_at_x(monkeypatch):
@@ -634,13 +638,13 @@ def _recording_series(monkeypatch):
 
 def _series_at(coef, forms, span):
     """The checked series of s -> u(x - min(s^2, span)) at s = sqrt(forms)."""
-    return function_model._clenshaw(coef, np.sqrt(forms) / (0.5 * math.sqrt(span)) - 1.0)
+    return _cheb._clenshaw(coef, np.sqrt(forms) / (0.5 * math.sqrt(span)) - 1.0)
 
 
 @BUILT_INS
 def test_table_holds_every_sample_near_the_series(f, monkeypatch):
     # The table is checked at its cell midpoints only; it holds at every
-    # sample below the span, within _PROXY_TABLE_LEVEL of max|u|.
+    # sample below the span, within _cheb._TABLE_LEVEL of max|u|.
     A = PROXY_MATRICES[1]
     u = solve_quadform(f, A, PROXY_CFG)
     coefs = _recording_series(monkeypatch)
@@ -654,6 +658,43 @@ def test_table_holds_every_sample_near_the_series(f, monkeypatch):
         assert np.max(np.abs(vals[inside] - series)) <= 1e-11 * np.max(np.abs(series))
 
 
+def test_table_closes_at_the_span_and_nothing_past_it_counts(monkeypatch):
+    # A form of exactly S reads the series' end value, off the table's
+    # closing cell; a form past S reads a finite value too, which the
+    # lattice rule zeroes, so no finite value there moves the estimate.
+    A = PROXY_MATRICES[1]
+    u = solve_quadform(Exponential(1.0), A, PROXY_CFG)
+    x = 0.3
+    span = forward_verifier._decay_span(u, x, u(x), CUTOFF_EPSILON)
+    coefs = _recording_series(monkeypatch)
+    table = forward_verifier._proxy_table(u, x, span, PROXY_CFG)
+    forms = np.array([span, 2.0 * span])
+    vals = forward_verifier._sample_values(u, forms, x, span, forms > span, lambda: table,
+                                           np.empty((3, 2)), np.empty(2, np.intp), 2)
+    series = _series_at(coefs[0], np.linspace(0.0, span, 1001), span)
+    end = _cheb._clenshaw(coefs[0], np.array([1.0]))[0]
+    assert abs(vals[0] - end) <= 1e-11 * np.max(np.abs(series))
+    # Here s = sqrt(S) maps to the closing cell's own index, so both read
+    # y_M bit for bit, and y_M is the end value to rounding.
+    cells = table.shape[1] - 1
+    assert math.sqrt(span) * (cells / math.sqrt(span)) == cells
+    assert vals[0] == vals[1] == table[0, -1]
+    assert abs(table[0, -1] - end) <= 1e-15 * np.max(np.abs(series))
+
+    want = forward_quadform_mc(u, A, x, PROXY_CFG)
+    sample_values, pasts = forward_verifier._sample_values, []
+
+    def junk_past_the_span(u, forms, x, span, past, *rest):
+        vals = sample_values(u, forms, x, span, past, *rest)
+        pasts.append(int(np.sum(past)))
+        vals[past] += 1e100
+        return vals
+
+    monkeypatch.setattr(forward_verifier, "_sample_values", junk_past_the_span)
+    assert forward_quadform_mc(u, A, x, PROXY_CFG) == want
+    assert sum(pasts) > 0
+
+
 def test_high_degree_proxy_doubles_its_cells(monkeypatch):
     # 94 coefficients stay: 2048 cells leave the table 2.3e-10 of max|u| off
     # the series, so it doubles until it holds 1e-11 of max|u| again.
@@ -663,7 +704,7 @@ def test_high_degree_proxy_doubles_its_cells(monkeypatch):
     span = forward_verifier._decay_span(u, x, u(x), CUTOFF_EPSILON)
     coefs = _recording_series(monkeypatch)
     table = forward_verifier._proxy_table(u, x, span, PROXY_CFG)
-    assert coefs[0].size >= 90 and table.shape[1] > forward_verifier._PROXY_CELLS
+    assert coefs[0].size >= 90 and table.shape[1] > _cheb._CELLS + 1
     forms = np.linspace(0.0, span, 100_001)
     work, cell = np.empty((3, forms.size)), np.empty(forms.size, np.intp)
     vals = forward_verifier._sample_values(u, forms, x, span, forms > span, lambda: table,
@@ -673,18 +714,18 @@ def test_high_degree_proxy_doubles_its_cells(monkeypatch):
 
 
 def test_table_that_cannot_stand_reads_u_directly(monkeypatch):
-    # Past _PROXY_CELLS_CAP the table does not stand, though the series
+    # Past _cheb._CELLS_CAP the table does not stand, though the series
     # does: the samples below the span are read directly, shift by shift.
     A = PROXY_MATRICES[1]
     u, sizes = _counting(solve_quadform(Exponential(1.0), A, PROXY_CFG), marked=True)
     seen = _recording_samples(monkeypatch)
     coefs = _recording_series(monkeypatch)
-    monkeypatch.setattr(forward_verifier, "_PROXY_TABLE_LEVEL", 0.0)
+    monkeypatch.setattr(_cheb, "_TABLE_LEVEL", 0.0)
     forward_quadform_mc(u, A, 0.3, PROXY_CFG)
     assert coefs[0] is not None
     forms, _, span, _ = seen[-1]
     below = np.sum(forms.reshape(-1, 256) <= span, axis=1)
-    assert sizes == [1, 129 + 256] + [int(b) for b in below if b]
+    assert sizes == [1, 257] + [int(b) for b in below if b]
 
 
 def test_error_on_proxy_nodes_keeps_its_class():

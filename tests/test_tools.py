@@ -105,13 +105,17 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
         "exp", "gauss_tail", "shifted_gaussian"]
     assert all(argv[1:3] == ["--variant", "classic"] for argv in solves)
     # verify on a narrow and a wide Gaussian, outside the decks' sigma range,
-    # and a quadform verify at the default sample budget.
+    # and two quadform verifies at the default sample budget: one whose
+    # proxy tables double past 2048 cells.
     verifies = [argv for argv in argvs if argv[0] == "verify"]
     assert [argv[argv.index("--function") + 1] for argv in verifies] == [
-        "shifted_gaussian:sigma=0.05", "shifted_gaussian:sigma=5", "gauss_tail"]
-    assert verifies[-1][1:5] == ["--variant", "quadform", "--matrix", "2"]
-    assert "--mc-samples" not in verifies[-1]
-    assert len(argvs) == 19
+        "shifted_gaussian:sigma=0.05", "shifted_gaussian:sigma=5", "gauss_tail",
+        "shifted_gaussian:sigma=0.2"]
+    for argv in verifies[-2:]:
+        assert argv[1:5] == ["--variant", "quadform", "--matrix", "2"]
+        assert "--mc-samples" not in argv
+    assert verifies[-1][verifies[-1].index("--window") + 1] == "0.5:1.5"
+    assert len(argvs) == 20
 
     # Unlike a quadform verify op, a quadform forward op may not move; its
     # grid's move is sized as a solve op's is.

@@ -12,9 +12,10 @@ Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
 (``--matrix 2``) operators on each built-in function, a classic
 ``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
 grid whose every panel is sparse, ``verify`` on a narrow and a wide
-Gaussian, outside the decks' sigma range [0.5, 2], and a quadform
-``verify`` of ``gauss_tail`` at the CLI's default sample budget, the one
-op that reads the quadform proxy at 1e6 samples. Every op runs once per
+Gaussian, outside the decks' sigma range [0.5, 2], a quadform ``verify``
+of ``gauss_tail`` at the CLI's default sample budget, the one op that
+reads the quadform proxy at 1e6 samples, and one of a sigma=0.2 Gaussian,
+the one op whose proxy tables double past 2048 cells. Every op runs once per
 tree, through ``fraclamb.cli.main`` in one subprocess per tree and deck
 (the fixed ops make one more), with that tree's ``src`` first on
 ``sys.path``; a fraclamb imported from anywhere else is refused.
@@ -113,6 +114,11 @@ def fixed_ops() -> list:
     ops.append(("quadform", ["verify", "--variant", "quadform", "--matrix", "2", "--function",
                              "gauss_tail", "--window", "-1:1", "--probes", "3",
                              "--format", "json"]))
+    # A proxy whose Hermite table doubles past 2048 cells, to 4096 and 8192:
+    # no bench deck's table does.
+    ops.append(("quadform", ["verify", "--variant", "quadform", "--matrix", "2", "--function",
+                             "shifted_gaussian:sigma=0.2", "--window", "0.5:1.5",
+                             "--probes", "3", "--format", "json"]))
     return ops
 
 
