@@ -1,6 +1,6 @@
 """Chebyshev series checked on a nested 257-point grid, and the cubic
-Hermite table read off one: for ``function_model.sample``, one series per
-grid panel, and for ``forward_verifier._proxy_table``, one per probe."""
+Hermite table built over one and read: for ``function_model.sample``, one
+series per grid panel, and for ``forward_verifier``, one table per probe."""
 
 from __future__ import annotations
 
@@ -27,7 +27,9 @@ _vander = None
 
 def _clenshaw(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k coef[k] T_k(t): numpy's chebval recurrence, bit for bit, run in
-    place over four buffers instead of three new arrays per term."""
+    place over four buffers instead of three new arrays per term. chebval
+    itself made the solve_grid deck's median op 1-3% slower (seed 7, 4 of
+    4 in-process pairs, 2-core Xeon VM)."""
     if coef.size == 1:
         coef = np.append(coef, 0.0)
     x2, c0, c1, spare = np.empty((4,) + t.shape)
@@ -68,29 +70,13 @@ def _checked_series(f, lo: float, hi: float, checks: np.ndarray, chop: float, le
     coef = np.fft.rfft(np.concatenate([read[:n], read[n - 2:0:-1]])).real / _DEGREE
     coef[0] /= 2.0
     coef[-1] /= 2.0
-    # Coefficient 0 always stays, so an all-zero series stands, exactly.
-    dropped = np.argmin(np.append(np.abs(coef[:0:-1]) <= chop * np.max(np.abs(coef)), False))
-    if dropped < _TAIL:
+    # chebtrim keeps one coefficient of an all-zero series, so it stands.
+    kept = np.polynomial.chebyshev.chebtrim(coef, chop * np.max(np.abs(coef)))
+    if coef.size - kept.size < _TAIL:
         return None
-    coef = coef[:coef.size - dropped]
-    if not np.max(np.abs(_clenshaw(coef, checks) - read[n:])) <= level * np.max(np.abs(read[n:])):
+    if not np.max(np.abs(_clenshaw(kept, checks) - read[n:])) <= level * np.max(np.abs(read[n:])):
         return None
-    return coef, read
-
-
-def _vandermonde(cells: int, terms: int) -> np.ndarray:
-    """T_k(t), k < terms, at the edges then the midpoints of cells equal
-    cells of [-1, 1], column-major. Column k comes from columns k - 1 and
-    k - 2 alone, so its floats do not depend on terms."""
-    t = np.arange(2 * cells + 1) / cells - 1.0
-    t = np.concatenate([t[::2], t[1::2]])
-    matrix = np.empty((t.size, max(terms, 2)), order="F")
-    matrix[:, 0], matrix[:, 1] = 1.0, t
-    t *= 2.0
-    for k in range(2, terms):
-        np.multiply(t, matrix[:, k - 1], out=matrix[:, k])
-        matrix[:, k] -= matrix[:, k - 2]
-    return matrix
+    return kept, read
 
 
 def _hermite_table(coef: np.ndarray):
@@ -100,12 +86,14 @@ def _hermite_table(coef: np.ndarray):
     Cell i holds its Horner coefficients in the fraction of the cell, y0,
     d0, 3 (y1 - y0) - 2 d0 - d1 and 2 (y0 - y1) + d0 + d1, from the
     series' values y and slopes d (in cell units) at its edges, products
-    with ``_vandermonde``; a closing cell M holds [y_M, 0, 0, 0]. M starts
-    at _CELLS and doubles until the table is within _TABLE_LEVEL * max|y at
-    the edges| of the series at every midpoint, where a cell's error peaks;
-    past _CELLS_CAP it does not stand. The matrix at _CELLS is kept, with
-    the most columns a series has needed (1.2 MB for 37 terms); a doubled
-    table's is built for that table alone.
+    with numpy's column-major ``chebvander`` at the edges then midpoints;
+    a closing cell M holds [y_M, 0, 0, 0]. M starts at _CELLS and doubles
+    until the table is within _TABLE_LEVEL * max|y at the edges| of the
+    series at every midpoint, where a cell's error peaks; past _CELLS_CAP
+    it does not stand. The matrix at _CELLS is kept, with the most columns
+    a series has needed (1.2 MB for 37 terms); a doubled table's is built
+    for that table alone. Column k comes from columns k - 1 and k - 2
+    alone, so no float depends on what the cache holds.
     """
     global _vander
     slope = np.polynomial.chebyshev.chebder(coef)
@@ -113,7 +101,9 @@ def _hermite_table(coef: np.ndarray):
     while cells <= _CELLS_CAP:
         matrix = _vander if cells == _CELLS else None
         if matrix is None or matrix.shape[1] < coef.size:
-            matrix = _vandermonde(cells, coef.size)
+            t = np.arange(2 * cells + 1) / cells - 1.0
+            matrix = np.polynomial.chebyshev.chebvander(np.concatenate([t[::2], t[1::2]]),
+                                                        coef.size - 1)
             if cells == _CELLS:
                 _vander = matrix
         y = matrix[:, :coef.size] @ coef
@@ -127,3 +117,18 @@ def _hermite_table(coef: np.ndarray):
             return table
         cells *= 2
     return None
+
+
+def _table_values(table: np.ndarray, s: np.ndarray, top: float, out: np.ndarray,
+                  cell: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """The series a ``_hermite_table`` holds, mapped onto [0, top], at s
+    (in [0, top], overwritten) into out: cell = floor(s M / top), one
+    gather per table row into term, then Horner in s's fraction of the cell."""
+    s *= (table.shape[1] - 1) / top
+    np.copyto(cell, s, casting="unsafe")  # floor, as s >= 0
+    s -= cell
+    np.take(table[3], cell, out=out, mode="clip")
+    for row in table[2::-1]:
+        out *= s
+        out += np.take(row, cell, out=term, mode="clip")
+    return out

@@ -203,6 +203,12 @@ def _load_matrix(raw: str) -> PosDefMatrix:
         raise DomainError(f"cannot read matrix file {raw}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for binary files
         raise DomainError(f"matrix file {raw} is not valid JSON: {exc}") from None
+    entries = [data]  # np.array would read true as 1.0 and "2" as 2.0
+    for entry in entries:
+        if isinstance(entry, list):
+            entries += entry
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise DomainError(f"matrix file {raw} holds {json.dumps(entry)}, not a JSON number")
     return PosDefMatrix(data)
 
 

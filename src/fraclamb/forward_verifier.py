@@ -24,11 +24,11 @@ a fixed seed and independent across probe points regardless of evaluation
 order; its standard error comes from the spread of the shifts. Every
 forward integral stops at u's decay span S (``_decay_span``). A
 quadrature-valued u (one Weyl integral per value) is never read past S, and
-below it off a cubic Hermite table per probe (``_sample_values``): one
-gather per table row and a Horner step per sample. ``_cheb``, the core
-``function_model.sample`` reads grids through too, builds it over one
-checked Chebyshev series from one cached matrix product, and it stands only
-within 1e-11 of max|u| of the series.
+below it off a cubic Hermite table built once per probe, before its first
+block. ``_cheb``, the core ``function_model.sample`` reads grids through
+too, builds it over one checked Chebyshev series from one cached matrix
+product and reads it, a gather per table row and a Horner step per sample;
+it stands only within 1e-11 of max|u| of the series.
 """
 
 from __future__ import annotations
@@ -41,12 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._cheb import _ODD, _checked_series, _hermite_table
+from ._cheb import _ODD, _checked_series, _hermite_table, _table_values
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
 from .fractional_ops import _cutoff_span, _power_kernel
-from .function_model import (_DIRECT_BLOCK, CUTOFF_EPSILON, SmoothFunction, _read_direct,
-                             check_window)
+from .function_model import CUTOFF_EPSILON, SmoothFunction, _read_direct, check_window
 from .lamb_solver import PosDefMatrix, ProblemSpec, check_exponent, solve_problem
 from .special_functions import check_dimension, check_integer, sphere_volume
 
@@ -181,26 +180,17 @@ def _proxy_table(u: SmoothFunction, x: float, span: float, cfg: QuadratureConfig
 def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
                    past: np.ndarray, table, work: np.ndarray, cell: np.ndarray,
                    shift: int) -> np.ndarray:
-    """u(x - form) at the samples' quadratic forms, all of them >= 0, for
-    the caller to zero past span (past is forms > span). A u that is not
-    quadrature-valued is evaluated at every sample in one call. Otherwise
-    the values go into work, a (3, forms.size) float array, and each
-    sample's cell into cell, a forms.size intp array. They are read off the
-    table table() gives at s = sqrt(min(form, span)), so past span off its
-    closing cell: one gather per table row, then Horner in s's fraction of
-    the cell. table() is called only when a sample lies below span; with
-    none, the values are 0. Where the table does not stand, u is read at
-    every sample below span, shift by shift (``shift`` samples each),
-    _DIRECT_BLOCK per call, and the values past span are 0.
-    """
+    """u(x - form) at the samples' quadratic forms, all >= 0, for the caller
+    to zero past span (past is forms > span): at every sample in one call
+    for a u that is not quadrature-valued. Otherwise off the probe's table
+    at s = sqrt(min(form, span)) (``_cheb._table_values``, past span its
+    closing cell), into work (3 floats) and cell (1 intp) per sample; where
+    table is None, read at every sample below span, shift by shift
+    (``shift`` samples each), with the values past span 0."""
     if not u.quadrature_valued:
         return u.evaluate(x - forms)
     p, vals, term = work
-    if past.all():
-        vals.fill(0.0)
-        return vals
-    rows = table()
-    if rows is None:
+    if table is None:
         for i in range(0, forms.size, shift):
             below = ~past[i:i + shift]
             vals[i:i + shift][below] = _read_direct(u, x - forms[i:i + shift][below])
@@ -208,14 +198,7 @@ def _sample_values(u: SmoothFunction, forms: np.ndarray, x: float, span: float,
         return vals
     np.minimum(forms, span, out=p)
     np.sqrt(p, out=p)
-    p *= (rows.shape[1] - 1) / math.sqrt(span)
-    np.copyto(cell, p, casting="unsafe")  # floor, as p >= 0
-    p -= cell
-    np.take(rows[3], cell, out=vals, mode="clip")
-    for row in rows[2::-1]:
-        vals *= p
-        vals += np.take(row, cell, out=term, mode="clip")
-    return vals
+    return _table_values(table, p, math.sqrt(span), vals, cell, term)
 
 
 def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
@@ -240,10 +223,11 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     reused by every later probe on that thread, whatever its n: (2 n + 5)
     floats, 1 intp and 2 bools per sample of a block, at n = 3 1.6 MB for
     5e4 samples and 3.2 MB for the default 1e6, beside the cached lattice
-    points (n N floats), the table (4 (M + 1) floats, 64 KB at M = 2048)
-    and ``_cheb``'s cached matrix. Each shift's mean is taken over its own
-    N values, and a direct read never spans two shifts, so the result is
-    the same in one block or several, and on any thread.
+    points (n N floats), a quadrature-valued u's proxy table, built once
+    before the first block (``_proxy_table``: 4 (M + 1) floats, 64 KB at
+    M = 2048), and ``_cheb``'s cached matrix. Each shift's mean is taken
+    over its own N values, and a direct read never spans two shifts, so the
+    result is the same in one block or several, and on any thread.
 
     Returns (estimate, standard_error): the mean of the q shift means, and
     the standard error of that mean combined in quadrature with
@@ -266,7 +250,7 @@ def forward_quadform_mc(u: SmoothFunction, A: PosDefMatrix, x: float,
     c = _LOGISTIC_KAPPA * math.sqrt(_decay_span(u, x, value, _LOGISTIC_DECAY)
                                     / (-math.log(_LOGISTIC_DECAY) * A.min_pivot))
     span = _decay_span(u, x, value, CUTOFF_EPSILON)
-    table = functools.cache(lambda: _proxy_table(u, x, span, cfg))
+    table = _proxy_table(u, x, span, cfg) if u.quadrature_valued else None
 
     # Coordinates run along rows. A point k z / N and a shift are multiples
     # of 2^-53 in [0, 1), so t is one in [0, 1) too: 0 is its only boundary.

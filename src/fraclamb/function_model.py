@@ -238,7 +238,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def _horner(x, coeffs: np.ndarray):
     """numpy's polyval(x, coeffs) for ascending coeffs, in place and in
-    polyval's own operation order, so with the same floats."""
+    polyval's own operation order, so with the same floats. polyval itself
+    made the verify deck's median op 6-7% slower and its shifted_gaussian
+    ops' 5-7% (seed 1, 3 of 3 in-process pairs, 2-core Xeon VM)."""
     out = x * 0.0
     out += coeffs[-1]
     for a in coeffs[-2::-1]:

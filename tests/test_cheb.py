@@ -8,6 +8,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from fraclamb import Exponential, PosDefMatrix, QuadratureConfig, solve_quadform
 from fraclamb import _cheb, forward_verifier
@@ -129,12 +130,15 @@ def test_table_floats_do_not_depend_on_the_cached_matrix(monkeypatch):
 
 
 def test_importing_the_cli_builds_no_matrix():
+    # Nor does it load numpy.polynomial: _cheb looks its routines up when
+    # it calls them.
     run = subprocess.run(
         [sys.executable, "-c",
-         "import fraclamb.cli; from fraclamb import _cheb; print(_cheb._vander is None)"],
+         "import sys, fraclamb.cli; from fraclamb import _cheb; "
+         "print(_cheb._vander is None, 'numpy.polynomial' in sys.modules)"],
         capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "True"
+    assert run.stdout.strip() == "True False"
 
 
 def test_table_products_agree_with_clenshaw():
@@ -150,3 +154,53 @@ def test_table_products_agree_with_clenshaw():
     assert table.shape == (4, 2049)
     assert np.max(np.abs(table[0] - edges)) <= 1e-14 * np.max(np.abs(edges))
     assert np.array_equal(table[1:, -1], np.zeros(3))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 37])
+def test_clenshaw_is_chebval_bit_for_bit(terms):
+    rng = np.random.default_rng(terms)
+    coef = rng.standard_normal(terms)
+    t = rng.uniform(-1.0, 1.0, 1000)
+    assert np.array_equal(_cheb._clenshaw(coef, t),
+                          np.polynomial.chebyshev.chebval(t, coef))
+
+
+def _read(table, s, top):
+    """_cheb._table_values at a copy of s, with fresh work arrays."""
+    s = np.array(s, dtype=float)
+    return _cheb._table_values(table, s, top, np.empty(s.size),
+                               np.empty(s.size, np.intp), np.empty(s.size))
+
+
+# The series of exp(2 t) on [-1, 1], read on [0, TOP]: s = TOP maps to
+# the closing cell's own index, M, exactly.
+EXP_SERIES = np.polynomial.chebyshev.chebinterpolate(lambda t: np.exp(2.0 * t), 40)
+TOP = 0.75
+
+
+def test_table_reads_the_series_it_holds():
+    table = _cheb._hermite_table(EXP_SERIES)
+    assert table.shape == (4, _cheb._CELLS + 1)
+    s = np.random.default_rng(5).uniform(0.0, TOP, 100_000)
+    series = np.polynomial.chebyshev.chebval(s / (0.5 * TOP) - 1.0, EXP_SERIES)
+    got = _read(table, s, TOP)
+    assert np.max(np.abs(got - series)) <= _cheb._TABLE_LEVEL * np.max(np.abs(series))
+
+
+def test_table_reads_its_closing_cell_at_the_top():
+    table = _cheb._hermite_table(EXP_SERIES)
+    cells = table.shape[1] - 1
+    assert TOP * (cells / TOP) == cells
+    assert _read(table, [TOP], TOP)[0] == table[0, -1]
+
+
+def test_constant_reads_back_bit_for_bit():
+    # A span so small that x - s^2 is x at every node: a probe's series is
+    # then one coefficient, and its table reads the constant everywhere.
+    top = 1e-150
+    coef, _ = _cheb._checked_series(lambda s: np.full(s.shape, 0.7), 0.0, top, _cheb._ODD,
+                                    CHOP, LEVEL)
+    assert np.array_equal(coef, [0.7])
+    table = _cheb._hermite_table(coef)
+    s = np.linspace(0.0, top, 1001)
+    assert np.all(_read(table, s, top) == 0.7)

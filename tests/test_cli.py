@@ -389,6 +389,21 @@ def test_bad_file_input_exits_two(kind, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, entry", [
+    ("[[true, false], [false, true]]", "true"),
+    ('[["2", "1"], ["1", "2"]]', '"2"'),
+], ids=["booleans", "strings"])
+def test_matrix_file_must_hold_numbers(text, entry, tmp_path, capsys):
+    # numpy would read these as the identity and as [[2, 1], [1, 2]].
+    matrix, report = tmp_path / "A.json", tmp_path / "report.json"
+    matrix.write_text(text)
+    assert main(["verify", "--variant", "quadform", "--matrix", str(matrix), "--function", "exp",
+                 "--window", "-1:1", "--probes", "3", "--output", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(matrix) in err and entry in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("selector, extra, name", [
     ("exp:lambda=nan", [], "lambda"),
     ("exp:lambda=inf", [], "lambda"),

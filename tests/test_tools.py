@@ -150,3 +150,16 @@ def test_deck_diff_reports_how_far_deterministic_forwards_moved():
     # Same report, other stderr: no forward report.
     lines, ok = compare(ops, parent, [dict(parent[0], stderr="FAIL\n")])
     assert not ok and lines[1] == "  c: stdout or stderr differs"
+
+
+def test_deck_diff_counts_the_package_source_lines(tmp_path):
+    source_lines = _load("deck_diff").source_lines
+    package = tmp_path / "fraclamb"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("one\nno newline at the end")
+    # Neither a file that is not Python nor one in a subpackage counts.
+    (package / "notes.txt").write_text("one\ntwo\n")
+    (package / "sub" / "c.py").write_text("one\n")
+    assert source_lines(str(tmp_path)) == 5
+    assert source_lines(str(tmp_path / "missing")) == 0

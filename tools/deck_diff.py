@@ -35,12 +35,16 @@ the move against the parent's output:
   |change in value| / |value| over the grid, and whether both trees wrote
   the same x column.
 
+The report ends with one line: both trees' ``fraclamb/*.py`` line totals
+and their difference.
+
 The exit code is 1 if any op's exit code differs, or any op's stdout or
 stderr does other than a quadform ``verify`` op's, and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
@@ -120,6 +124,15 @@ def fixed_ops() -> list:
                              "shifted_gaussian:sigma=0.2", "--window", "0.5:1.5",
                              "--probes", "3", "--format", "json"]))
     return ops
+
+
+def source_lines(src: str) -> int:
+    """Total lines of the ``fraclamb/*.py`` files of a tree's ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "fraclamb", "*.py")):
+        with open(path, encoding="utf-8") as file:
+            total += sum(1 for _ in file)
+    return total
 
 
 def _relative(old: float, new: float) -> float:
@@ -231,6 +244,8 @@ def main(argv=None) -> int:
             parent.append(old)
             change.append(new)
     lines, ok = compare(ops, parent, change)
+    old, new = source_lines(parent_src), source_lines(change_src)
+    lines.append(f"source: fraclamb/*.py {old} -> {new} lines ({new - old:+d})")
     print("\n".join(lines))
     return 0 if ok else 1
 
