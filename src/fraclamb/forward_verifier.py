@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cheb import _ODD, _checked_series, _hermite_table, _table_values
+from ._csv import format_csv
 from .config import QuadratureConfig, DEFAULT_CONFIG
 from .errors import DimensionCapError, DomainError
 from .fractional_ops import _cutoff_span, _power_kernel
@@ -342,8 +343,11 @@ class ResidualReport:
     std_errors: list | None = field(default=None, repr=False)
 
     def to_csv(self) -> str:
-        return "x,f,forward,residual\n" + "".join(
-            ["%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in self.rows])
+        """``x,f,forward,residual[,std_error]`` rows, as ``"%.17g"`` writes floats."""
+        header, table = "x,f,forward,residual", np.array(self.rows, dtype=float).reshape(-1, 4)
+        if self.std_errors is not None:
+            header, table = header + ",std_error", np.column_stack((table, self.std_errors))
+        return format_csv(header, table)
 
     def to_json(self) -> str:
         """Strict JSON: a non-finite number is written as null."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._cheb import _NODES, _ODD, _checked_series, _clenshaw
+from ._csv import format_csv
 from .errors import DomainError, FracLambError, NoDecayError, UnsupportedOrderError
 from .special_functions import check_integer
 
@@ -519,9 +520,8 @@ class GridFunction:
         return self.x_start + np.arange(self.values.size) * self.x_step
 
     def to_csv(self) -> str:
-        # One %-format over the interleaved (x, value) floats of every row.
-        flat = np.column_stack((self.nodes, self.values)).ravel().tolist()
-        return "x,value\n" + ("%.17g,%.17g\n" * self.values.size) % tuple(flat)
+        """``x,value`` rows, floats byte for byte as ``"%.17g"`` writes them."""
+        return format_csv("x,value", np.column_stack((self.nodes, self.values)))
 
     def to_json(self) -> str:
         return json.dumps({

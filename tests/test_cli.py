@@ -242,6 +242,19 @@ def test_inline_matrix_entry_for_one_dimension():
     assert result.returncode == 0
 
 
+def test_quadform_verify_csv_carries_the_standard_errors(capsys):
+    # The default quadform gate is built from these, so a CSV reader needs them.
+    argv = ["verify", "--variant", "quadform", "--matrix", "2", "--function", "exp",
+            "--window", "-1:1", "--probes", "3", "--mc-samples", "4096"]
+    assert main([*argv, "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert header == "x,f,forward,residual,std_error"
+    assert [float(line.split(",")[4]).hex() for line in lines] == [
+        se.hex() for se in report["std_errors"]]
+
+
 def test_selftest_deterministic_across_runs():
     a = run_cli("selftest", "--mc-samples", "200000")
     b = run_cli("selftest", "--mc-samples", "200000")

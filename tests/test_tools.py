@@ -99,11 +99,13 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
         for operator in operators:
             assert sum(argv[0] == "forward" and argv[1:1 + len(operator)] == operator
                        and argv[argv.index("--function") + 1] == function for argv in argvs) == 1
-    # A classic solve on a sparse grid of each built-in.
+    # A classic solve on a sparse grid of each built-in, and one on a large
+    # grid whose CSV mixes fixed and exponent notation.
     solves = [argv for argv in argvs if argv[0] == "solve"]
     assert [argv[argv.index("--function") + 1] for argv in solves] == [
-        "exp", "gauss_tail", "shifted_gaussian"]
+        "exp", "gauss_tail", "shifted_gaussian", "shifted_gaussian:sigma=0.5"]
     assert all(argv[1:3] == ["--variant", "classic"] for argv in solves)
+    assert solves[-1][-4:] == ["--window", "-6:6", "--count", "20001"]
     # verify on a narrow and a wide Gaussian, outside the decks' sigma range,
     # and two quadform verifies at the default sample budget: one whose
     # proxy tables double past 2048 cells.
@@ -115,7 +117,7 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
         assert argv[1:5] == ["--variant", "quadform", "--matrix", "2"]
         assert "--mc-samples" not in argv
     assert verifies[-1][verifies[-1].index("--window") + 1] == "0.5:1.5"
-    assert len(argvs) == 20
+    assert len(argvs) == 21
 
     # Unlike a quadform verify op, a quadform forward op may not move; its
     # grid's move is sized as a solve op's is.

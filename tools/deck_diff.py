@@ -11,7 +11,9 @@ Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
 ``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
 (``--matrix 2``) operators on each built-in function, a classic
 ``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
-grid whose every panel is sparse, ``verify`` on a narrow and a wide
+grid whose every panel is sparse, a classic ``solve`` of a sigma=0.5
+Gaussian on 20001 points of -6:6, whose CSV mixes fixed and exponent
+notation at scale, ``verify`` on a narrow and a wide
 Gaussian, outside the decks' sigma range [0.5, 2], a quadform ``verify``
 of ``gauss_tail`` at the CLI's default sample budget, the one op that
 reads the quadform proxy at 1e6 samples, and one of a sigma=0.2 Gaussian,
@@ -109,6 +111,10 @@ def fixed_ops() -> list:
     for function in FUNCTIONS:
         ops.append(("classic", ["solve", "--variant", "classic", "--function", function,
                                 *SPARSE_GRID]))
+    # A large grid whose CSV mixes both number formats in every chunk: 6192
+    # values and one node are in exponent form, written by the stdlib.
+    ops.append(("classic", ["solve", "--variant", "classic", "--function",
+                            "shifted_gaussian:sigma=0.5", "--window", "-6:6", "--count", "20001"]))
     # A narrow and a wide Gaussian: every bench draw has sigma in [0.5, 2].
     ops.append(("classic", ["verify", "--variant", "classic", "--function",
                             "shifted_gaussian:sigma=0.05", "--window", "-0.1:0.05"]))
