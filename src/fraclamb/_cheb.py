@@ -21,7 +21,8 @@ _CELLS = 2048
 _CELLS_CAP = 2 ** 16
 _TABLE_LEVEL = 1e-11
 
-# The Chebyshev-Vandermonde matrix at _CELLS, built lazily.
+# The Chebyshev-Vandermonde matrix at _CELLS, built lazily: no other
+# number of cells has one.
 _vander = None
 
 
@@ -85,29 +86,28 @@ def _hermite_table(coef: np.ndarray):
 
     Cell i holds its Horner coefficients in the fraction of the cell, y0,
     d0, 3 (y1 - y0) - 2 d0 - d1 and 2 (y0 - y1) + d0 + d1, from the
-    series' values y and slopes d (in cell units) at its edges, products
-    with numpy's column-major ``chebvander`` at the edges then midpoints;
-    a closing cell M holds [y_M, 0, 0, 0]. M starts at _CELLS and doubles
-    until the table is within _TABLE_LEVEL * max|y at the edges| of the
-    series at every midpoint, where a cell's error peaks; past _CELLS_CAP
-    it does not stand. The matrix at _CELLS is kept, with the most columns
-    a series has needed (1.2 MB for 37 terms); a doubled table's is built
-    for that table alone. Column k comes from columns k - 1 and k - 2
-    alone, so no float depends on what the cache holds.
+    series' values y and slopes d (in cell units) at its edges; a closing
+    cell M holds [y_M, 0, 0, 0]. M starts at _CELLS and doubles until the
+    table is within _TABLE_LEVEL * max|y at the edges| of the series at
+    every midpoint, where a cell's error peaks; past _CELLS_CAP it does not
+    stand. At _CELLS, y at the edges then midpoints and d at the edges are
+    products with numpy's column-major ``chebvander``, kept with the most
+    columns a series has needed (1.2 MB for 37 terms); column k comes from
+    columns k - 1 and k - 2 alone, so no float depends on what the cache
+    holds. A doubled table sums them by ``_clenshaw``, building no matrix.
     """
     global _vander
     slope = np.polynomial.chebyshev.chebder(coef)
     cells = _CELLS
     while cells <= _CELLS_CAP:
-        matrix = _vander if cells == _CELLS else None
-        if matrix is None or matrix.shape[1] < coef.size:
-            t = np.arange(2 * cells + 1) / cells - 1.0
-            matrix = np.polynomial.chebyshev.chebvander(np.concatenate([t[::2], t[1::2]]),
-                                                        coef.size - 1)
-            if cells == _CELLS:
-                _vander = matrix
-        y = matrix[:, :coef.size] @ coef
-        d = matrix[:cells + 1, :slope.size] @ slope * (2.0 / cells)
+        t = np.concatenate([np.arange(cells + 1), np.arange(cells) + 0.5]) * (2.0 / cells) - 1.0
+        if cells > _CELLS:
+            y, d = _clenshaw(coef, t), _clenshaw(slope, t[:cells + 1])
+        else:
+            if _vander is None or _vander.shape[1] < coef.size:
+                _vander = np.polynomial.chebyshev.chebvander(t, coef.size - 1)
+            y, d = _vander[:, :coef.size] @ coef, _vander[:cells + 1, :slope.size] @ slope
+        d *= 2.0 / cells
         y0, y1, d0, d1 = y[:cells], y[1:cells + 1], d[:-1], d[1:]
         table = np.zeros((4, cells + 1))
         table[0] = y[:cells + 1]

@@ -337,7 +337,6 @@ def _selftest_checks(cfg: QuadratureConfig):
             derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, cfg),
             derivative_order=1,
             tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
-            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
             label="half",
         )
         lhs = np.asarray(frac_derivative(inner, 0.5, probe, cfg))

@@ -123,10 +123,10 @@ def _lattice_points(n: int, m: int) -> np.ndarray:
 
 
 def _decay_span(u: SmoothFunction, x: float, value: float, epsilon: float) -> float:
-    """Distance below x past which |u| stays under epsilon * |u(x)| (epsilon
-    where u(x) = 0), given value = u(x); every forward integral stops at S =
-    _decay_span(u, x, u(x), CUTOFF_EPSILON). At least 1e-12."""
-    return max(_cutoff_span(u, float(x), float(value), epsilon, value_only=True), 1e-12)
+    """Distance below x past which u's tail bound stays under epsilon *
+    |u(x)| (epsilon where u(x) = 0), given value = u(x); every forward
+    integral stops at S = _decay_span(u, x, u(x), CUTOFF_EPSILON). >= 1e-12."""
+    return max(_cutoff_span(u, float(x), float(value), epsilon), 1e-12)
 
 
 def _forward_kernel(u: SmoothFunction, alpha: int, m: int, w: float, x: float,

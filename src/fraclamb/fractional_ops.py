@@ -94,13 +94,13 @@ def _power_kernel(g: SmoothFunction, d: float, p: float, xs: np.ndarray,
     return _quad.integrate_batch(integrand, uppers, cfg)
 
 
-def _cutoff_span(g: SmoothFunction, xs, values, epsilon: float, value_only: bool = False):
-    """xs - L, for L where g's tail bound (value bound if value_only) falls
-    to epsilon * max|values| (epsilon where all are 0; at least 5e-324), the
-    values being g at xs; FracLambError where one of them is not finite."""
+def _cutoff_span(g: SmoothFunction, xs, values, epsilon: float):
+    """xs - L, for L where g's tail bound falls to epsilon * max|values|
+    (epsilon where all are 0; at least 5e-324), the values being g at xs;
+    FracLambError where one of them is not finite."""
     check_finite(g.label, xs, values)
     scale = float(np.max(np.abs(values)))
-    return xs - effective_lower_cutoff(g, max(epsilon * (scale or 1.0), 5e-324), value_only)
+    return xs - effective_lower_cutoff(g, max(epsilon * (scale or 1.0), 5e-324))
 
 
 def _weyl_batch(g: SmoothFunction, mu: float, xs,
@@ -160,7 +160,7 @@ def derivative_view(f: SmoothFunction, k: int) -> SmoothFunction:
         derivative_order=max(f.derivative_order - k, 0),
         label=f"D^{k}[{f.label}]",
     )
-    return _inherit_decay(view, f, value_bound=False) if f.has_decay else view
+    return _inherit_decay(view, f) if f.has_decay else view
 
 
 def frac_derivative(f: SmoothFunction, nu: float, x,

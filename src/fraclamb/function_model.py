@@ -65,9 +65,11 @@ class SmoothFunction:
     * analytic derivatives up to ``derivative_order`` (K), none above it;
     * ``tail_bound(L)``, an upper bound on sup_{xi <= L} max_{k <= K+1}
       |f^(k)(xi)|, monotone non-increasing as L decreases and -> 0, which is
-      what permits truncating integrals with lower limit -inf. The exact
-      bound is monotone; its float need not be where a factor underflows,
-      as ShiftedGaussian's |t|^k e^(-t^2/2) where e^(-t^2/2) is subnormal.
+      what permits truncating integrals with lower limit -inf. It is f's
+      one decay bound, on |f| (k = 0) too, and every -inf cutoff reads it.
+      The exact bound is monotone; its float need not be where a factor
+      underflows, as ShiftedGaussian's |t|^k e^(-t^2/2) where e^(-t^2/2)
+      is subnormal.
 
     ``quadrature_valued`` is True when every value costs a quadrature of
     its own (a Weyl integral) while the function stays smooth, so a
@@ -110,14 +112,10 @@ class SmoothFunction:
         return True
 
     def tail_bound(self, L: float) -> float:
-        """Upper bound on all derivatives up to order K+1 left of L."""
+        """Upper bound on |f| and all derivatives up to order K+1 left of L."""
         raise NoDecayError(f"{self.label}: no decay metadata")
 
-    def value_tail_bound(self, L: float) -> float:
-        """Upper bound on |f| alone left of L; defaults to tail_bound."""
-        return self.tail_bound(L)
-
-    def _cutoff_guess(self, log_eps: float, value_only: bool):
+    def _cutoff_guess(self, log_eps: float):
         """Where the bound crosses e^log_eps, from a closed-form inverse, or
         None without one. effective_lower_cutoff keeps a guess only after
         checking it against the bound itself."""
@@ -130,17 +128,17 @@ class SmoothFunction:
 class CallableFunction(SmoothFunction):
     """SmoothFunction assembled from plain callables.
 
-    ``derivative(k, x)`` supplies orders 1..``derivative_order``. Used for
-    lazily evaluated solver outputs and operator compositions.
+    ``derivative(k, x)`` supplies orders 1..``derivative_order``, and
+    ``tail_bound``, if given, is the bound SmoothFunction.tail_bound
+    describes, on |f| too. Used for solver outputs and compositions.
     """
 
     def __init__(self, evaluate, derivative=None, derivative_order=0,
-                 tail_bound=None, value_tail_bound=None, label="f"):
+                 tail_bound=None, label="f"):
         self._evaluate = evaluate
         self._derivative = derivative
         self.derivative_order = int(derivative_order)
         self._tail_bound = tail_bound
-        self._value_tail_bound = value_tail_bound
         self.label = label
 
     def evaluate(self, x):
@@ -160,11 +158,6 @@ class CallableFunction(SmoothFunction):
             raise NoDecayError(f"{self.label}: no decay metadata")
         return float(self._tail_bound(float(L)))
 
-    def value_tail_bound(self, L):
-        if self._value_tail_bound is not None:
-            return float(self._value_tail_bound(float(L)))
-        return self.tail_bound(L)
-
 
 # ---------------------------------------------------------------------------
 # Built-in test family
@@ -178,16 +171,13 @@ def _finite(name: str, value, positive: bool = False) -> float:
 
 
 class _ExponentialTail(SmoothFunction):
-    """Tail bounds C e^(lam L) (C = _tail_constant) and e^(lam L) for |f|."""
+    """Tail bound C e^(lam L), C = _tail_constant."""
 
     def tail_bound(self, L):
         return self._tail_constant * math.exp(self.lam * L)
 
-    def value_tail_bound(self, L):
-        return math.exp(self.lam * L)
-
-    def _cutoff_guess(self, log_eps, value_only):
-        return (log_eps - (0.0 if value_only else math.log(self._tail_constant))) / self.lam
+    def _cutoff_guess(self, log_eps):
+        return (log_eps - math.log(self._tail_constant)) / self.lam
 
 
 class Exponential(_ExponentialTail):
@@ -353,20 +343,13 @@ class ShiftedGaussian(SmoothFunction):
         return max(gauss if t <= -1.0 else 1.0,
                    scale * (abs(t) ** k * gauss if t <= -peak else flat))
 
-    def value_tail_bound(self, L):
-        t = (float(L) - self.c) / self.sigma
-        return math.exp(-0.5 * t * t) if t < 0 else 1.0
-
-    def _cutoff_guess(self, log_eps, value_only):
-        # In s = -t the value bound crosses eps at s^2/2 = -log eps, and the
-        # order-0 term at the larger of that and its jump s = 1. The top
-        # term k crosses it where h(s) = s^2/2 - k log s - R = 0, with
-        # R = log scale_k - log eps, or at its jump s = peak_k if
+    def _cutoff_guess(self, log_eps):
+        # In s = -t the order-0 term crosses eps at max(1, sqrt(-2 log eps)).
+        # The top term k crosses it where h(s) = s^2/2 - k log s - R = 0,
+        # with R = log scale_k - log eps, or at its jump s = peak_k if
         # h(peak_k) >= 0; h is convex right of peak_k, so Newton converges
         # once its first step overshoots. The bound crosses at the larger.
         root = math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else 0.0
-        if value_only:
-            return self.c - self.sigma * root if root else None
         k, peak, scale, flat = self._top_term
         R = (math.log(scale) if scale else -math.inf) - log_eps
         s = 0.0
@@ -396,19 +379,14 @@ def materialize(func, decay_like=None, decay_scale=1.0,
     return g if decay_like is None else _inherit_decay(g, decay_like, decay_scale)
 
 
-def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
-                   value_bound: bool = True) -> CallableFunction:
-    """Give g the tail bound scale * parent.tail_bound, and as value bound
-    scale * parent.value_tail_bound, or with ``value_bound`` False the tail
-    bound itself. Since scale * bound <= eps where bound <= eps / scale, g's
-    cutoff guess is parent's at eps / scale, i.e. at log eps - log scale."""
+def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0) -> CallableFunction:
+    """Give g the tail bound scale * parent.tail_bound. Since scale * bound
+    <= eps where bound <= eps / scale, g's cutoff guess is parent's at
+    eps / scale, i.e. at log eps - log scale."""
     g._tail_bound = lambda L: scale * parent.tail_bound(L)
-    if value_bound:
-        g._value_tail_bound = lambda L: scale * parent.value_tail_bound(L)
     if scale > 0.0:
         log_scale = math.log(scale)
-        g._cutoff_guess = lambda log_eps, value_only: parent._cutoff_guess(
-            log_eps - log_scale, value_only and value_bound)
+        g._cutoff_guess = lambda log_eps: parent._cutoff_guess(log_eps - log_scale)
     return g
 
 
@@ -416,26 +394,25 @@ def _inherit_decay(g: CallableFunction, parent: SmoothFunction, scale=1.0,
 # Truncation of the -inf limit
 # ---------------------------------------------------------------------------
 
-def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool = False) -> float:
+def effective_lower_cutoff(f: SmoothFunction, epsilon: float) -> float:
     """The point L where f's tail bound crosses epsilon, with bound(L) <= epsilon.
 
-    Left of L every |f^(k)| the bound covers is at most epsilon, so an
-    integral with lower limit -inf may be truncated at L. The built-ins,
-    and the wrappers that scale their bounds, invert the bound in closed
-    form: a guess G with |G| <= 2^58 is returned if bound(G) <= epsilon,
-    else G stepped 4 ulps of max(|G|, 1) left if that passes.
+    Left of L, |f| and every |f^(k)| the bound covers are at most
+    epsilon, so an integral of any of them with lower limit -inf may be
+    truncated at L. The built-ins, and the wrappers that scale their
+    bounds, invert the bound in closed form: a guess G with |G| <= 2^58 is
+    returned if bound(G) <= epsilon, else G stepped 4 ulps of max(|G|, 1)
+    left if that passes.
     Any other guess, an overflow while guessing, and every function
     without an inverse take the search: doubling steps bracket the
     crossing in [L, R] with bound(R) > epsilon, and bisection narrows the
     bracket for at most 60 steps, stopping early once it is one ulp wide.
     A bound that never exceeds epsilon on [0, 2^63] gives L = 2^63. A
-    kept guess satisfies the bound but need not be the search's float.
-
-    ``value_only`` uses the bound on |f| alone (enough for integrals of f
-    itself, giving shorter decay spans than the all-derivatives bound). A
+    kept guess satisfies the bound but need not be the search's float. A
     bound that overflows (the built-ins' math.exp past L ~ 709) reads as inf.
 
     Raises:
+        DomainError: epsilon is not > 0.
         NoDecayError: if f has no decay metadata, or its bound stays above
             epsilon out to L = -2^61 (a guess past 2^58 is never kept).
     """
@@ -444,16 +421,15 @@ def effective_lower_cutoff(f: SmoothFunction, epsilon: float, value_only: bool =
         raise DomainError(f"epsilon must be > 0, got {epsilon}")
     if not f.has_decay:
         raise NoDecayError(f"{f.label}: no decay metadata; declare a tail bound")
-    raw_bound = f.value_tail_bound if value_only else f.tail_bound
 
     def bound(L):
         try:
-            return raw_bound(L)
+            return f.tail_bound(L)
         except OverflowError:
             return math.inf
 
     try:
-        guess = f._cutoff_guess(math.log(epsilon), value_only)
+        guess = f._cutoff_guess(math.log(epsilon))
     except OverflowError:
         guess = None
     if guess is not None and abs(guess) <= 2.0 ** 58:

@@ -162,7 +162,7 @@ def _solution(f: SmoothFunction, nu: float, const: float, label: str,
         evaluate = lambda xs: const * _weyl_batch(fk, mu, xs, cfg)
     u = CallableFunction(evaluate, derivative_order=0, label=label)
     if f.has_decay:
-        _inherit_decay(u, f, _TAIL_MARGIN * abs(const), value_bound=False)
+        _inherit_decay(u, f, _TAIL_MARGIN * abs(const))
     u.quadrature_valued = mu != 0.0
     return u
 

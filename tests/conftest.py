@@ -61,14 +61,13 @@ def zero_function():
 
 
 def combination(a, f, b, g):
-    """a f + b g with derivatives up to the lower order of the two. Its bounds
-    are |a| times f's plus |b| times g's; it has no closed-form cutoff guess."""
+    """a f + b g with derivatives up to the lower order of the two. Its bound
+    is |a| times f's plus |b| times g's; it has no closed-form cutoff guess."""
     return CallableFunction(
         lambda x: a * f.evaluate(x) + b * g.evaluate(x),
         derivative=lambda k, x: a * f.derivative(k, x) + b * g.derivative(k, x),
         derivative_order=min(f.derivative_order, g.derivative_order),
         tail_bound=lambda L: abs(a) * f.tail_bound(L) + abs(b) * g.tail_bound(L),
-        value_tail_bound=lambda L: abs(a) * f.value_tail_bound(L) + abs(b) * g.value_tail_bound(L),
         label=f"{a:g} {f.label} + {b:g} {g.label}",
     )
 

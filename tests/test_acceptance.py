@@ -202,7 +202,6 @@ def test_criterion_7_fractional_operator_laws():
             derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, CFG),
             derivative_order=1,
             tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
-            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
         )
         half_twice = max(half_twice, rel_error(
             frac_derivative(inner, 0.5, probe, CFG),

@@ -1,16 +1,18 @@
 """The Chebyshev core: the nested check of a series, and the Hermite table
-built from one cached Chebyshev-Vandermonde matrix."""
+built from one cached Chebyshev-Vandermonde matrix, or past its cells by
+Clenshaw summation."""
 
 import json
 import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fraclamb import Exponential, PosDefMatrix, QuadratureConfig, solve_quadform
+from fraclamb import Exponential, PosDefMatrix, QuadratureConfig, ShiftedGaussian, solve_quadform
 from fraclamb import _cheb, forward_verifier
 from fraclamb.function_model import _PANEL_CHECKS, CUTOFF_EPSILON
 
@@ -154,6 +156,28 @@ def test_table_products_agree_with_clenshaw():
     assert table.shape == (4, 2049)
     assert np.max(np.abs(table[0] - edges)) <= 1e-14 * np.max(np.abs(edges))
     assert np.array_equal(table[1:, -1], np.zeros(3))
+
+
+def test_doubled_table_builds_no_matrix():
+    # A 94-term series doubles its table to 8192 cells. With the matrix at
+    # 2048 cells already holding its columns, the build's traced peak stays
+    # under 2 MB (1.5 MB): the doubled levels sum the series by Clenshaw.
+    # A Chebyshev-Vandermonde matrix built for each of them peaked at 13 MB.
+    u = solve_quadform(ShiftedGaussian(0.2), A3, CFG)
+    x = 1.0
+    span = forward_verifier._decay_span(u, x, u(x), CUTOFF_EPSILON)
+    coef, _ = _cheb._checked_series(lambda s: u.evaluate(x - np.minimum(s * s, span)), 0.0,
+                                    math.sqrt(span), _cheb._ODD, CHOP, CFG.tol)
+    assert coef.size == 94
+    want = _cheb._hermite_table(coef)
+    tracemalloc.start()
+    try:
+        table = _cheb._hermite_table(coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4, 8193) and np.array_equal(table, want)
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 37])

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -128,6 +129,36 @@ def test_forward_power_against_quad_oracle():
         )
         assert err < 1e-10
         assert forward_power(u, m, 0.5, CFG) == pytest.approx(ref, rel=1e-7)
+
+
+def _mp_builtin(f):
+    """f as an mpmath function."""
+    if isinstance(f, ShiftedGaussian):
+        return lambda x: mpmath.exp(-(x - f.c) ** 2 / (2 * mpmath.mpf(f.sigma) ** 2))
+    if isinstance(f, GaussTail):
+        return lambda x: mpmath.exp(f.lam * x) / (1 + mpmath.exp(f.lam * (x - f.c)))
+    return lambda x: mpmath.exp(f.lam * x)
+
+
+@pytest.mark.parametrize("f", [Exponential(2.0), GaussTail(), ShiftedGaussian()],
+                         ids=["exp2", "gauss_tail", "shifted_gaussian"])
+def test_forward_kernels_match_mpmath(f):
+    # Both kernels truncate where the built-in's tail bound falls to 1e-12
+    # of |f(x)|; at dps 30 they stay within 1e-11 of mpmath (4.2e-12 at
+    # worst, exp(lambda=2) at n = 7). A bound on |f| alone left n = 7
+    # 1.2-1.3e-9 off for exp and gauss_tail.
+    g = _mp_builtin(f)
+    with mpmath.workdps(30):
+        for x in (-2.0, -0.5, 1.0):
+            def kernel(alpha, m):
+                return mpmath.quad(lambda y: y ** alpha * g(x - y ** m), [0, 1, 4, 16, mpmath.inf])
+            for n in (3, 5, 7):
+                half = mpmath.mpf(n) / 2
+                want = float(2 * mpmath.pi ** half / mpmath.gamma(half) * kernel(n - 1, 2))
+                assert abs(forward_radial(f, n, x, CFG) / want - 1.0) <= 1e-11, (f.label, x, n)
+            for m in (1, 2, 3):
+                want = float(kernel(0, m))
+                assert abs(forward_power(f, m, x, CFG) / want - 1.0) <= 1e-11, (f.label, x, m)
 
 
 def test_forward_montecarlo_examples():

@@ -217,7 +217,6 @@ def test_half_derivative_twice_is_first_derivative(family):
             derivative=lambda k, x, f=f: frac_derivative(f, k + 0.5, x, CFG),
             derivative_order=1,
             tail_bound=lambda L, f=f: 4.0 * f.tail_bound(L),
-            value_tail_bound=lambda L, f=f: 4.0 * f.value_tail_bound(L),
             label="half",
         )
         lhs = np.asarray(frac_derivative(inner, 0.5, xs, CFG))

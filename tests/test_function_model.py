@@ -193,11 +193,9 @@ def test_gaussian_tail_terms_are_log_convex_in_the_order():
     assert np.all(np.diff(log_flat, 2) > 0.0)
 
 
-def _shifted_gaussian_guess_per_term(f, log_eps, value_only):
+def _shifted_gaussian_guess_per_term(f, log_eps):
     """The cutoff guess from every order k <= K+1: the largest per-term
     crossing, a term solved only where it still exceeds eps there."""
-    if value_only:
-        return f.c - f.sigma * math.sqrt(-2.0 * log_eps) if log_eps < 0.0 else None
     s = 0.0
     for k in reversed(range(f.derivative_order + 2)):
         scale = f.sigma ** (-k) * float(np.abs(_hermite_coeffs(k)).sum())
@@ -224,24 +222,21 @@ def test_gaussian_cutoff_guess_matches_the_per_term_guess():
               ShiftedGaussian(1.0, 0.0), ShiftedGaussian(2.0, -0.3), ShiftedGaussian(5.0, 0.0),
               ShiftedGaussian(10.0, 0.7)):
         for le in log_eps:
-            for value_only in (False, True):
-                assert f._cutoff_guess(le, value_only) == _shifted_gaussian_guess_per_term(
-                    f, le, value_only), (f.label, le, value_only)
+            assert f._cutoff_guess(le) == _shifted_gaussian_guess_per_term(f, le), (f.label, le)
     for f in (ShiftedGaussian(64.0, 0.0), ShiftedGaussian(2.0 ** 20, 0.0),
               ShiftedGaussian(2.0 ** 500, 0.0)):
         for le in log_eps:
-            got, want = f._cutoff_guess(le, False), _shifted_gaussian_guess_per_term(f, le, False)
+            got, want = f._cutoff_guess(le), _shifted_gaussian_guess_per_term(f, le)
             assert (got is None) == (want is None), (f.label, le)
             assert want is None or abs(got - want) <= math.ulp(want), (f.label, le)
 
 
-def _full_bisection(f, epsilon, value_only):
+def _full_bisection(f, epsilon):
     """effective_lower_cutoff with all 60 bisection steps, for reference."""
-    raw_bound = f.value_tail_bound if value_only else f.tail_bound
 
     def bound(L):
         try:
-            return raw_bound(L)
+            return f.tail_bound(L)
         except OverflowError:
             return math.inf
 
@@ -271,9 +266,9 @@ def _full_bisection(f, epsilon, value_only):
     return lo
 
 
-def _outcome(cutoff, f, eps, value_only):
+def _outcome(cutoff, f, eps):
     try:
-        return cutoff(f, eps, value_only)
+        return cutoff(f, eps)
     except NoDecayError as exc:
         return type(exc), str(exc)
 
@@ -290,22 +285,29 @@ _SOLUTIONS = [
 
 
 def _wrappers(f):
-    """(wrapper, its tail bound, its value bound) for each wrapper that
-    scales f's bounds, the two bounds as the formulas they stand for."""
-    out = [(derivative_view(f, k), f.tail_bound, f.tail_bound) for k in (1, 3)]
+    """(wrapper, its tail bound) for each wrapper that scales f's bound, the
+    bound as the formula it stands for."""
+    out = [(derivative_view(f, k), f.tail_bound) for k in (1, 3)]
     for spec, c in _SOLUTIONS:
-        scaled = lambda L, c=c: 4.0 * abs(c) * f.tail_bound(L)
-        out.append((solve_problem(spec, f), scaled, scaled))
-    out.append((materialize(f, decay_like=f, decay_scale=4.0),
-                lambda L: 4.0 * f.tail_bound(L), lambda L: 4.0 * f.value_tail_bound(L)))
+        out.append((solve_problem(spec, f), lambda L, c=c: 4.0 * abs(c) * f.tail_bound(L)))
+    out.append((materialize(f, decay_like=f, decay_scale=4.0), lambda L: 4.0 * f.tail_bound(L)))
     return out
+
+
+def _decay_factor(f, L):
+    """The exponential factor of a built-in's tail bound at L: e^(lam L), or
+    e^(-t^2/2) for t = (L - c) / sigma < 0 and 1 right of c."""
+    if isinstance(f, ShiftedGaussian):
+        t = (L - f.c) / f.sigma
+        return math.exp(-0.5 * t * t) if t < 0 else 1.0
+    return math.exp(f.lam * L)
 
 
 def test_effective_lower_cutoff_matches_full_bisection(family):
     # A closed-form guess is kept once the bound accepts it, so it need not
     # be the search's own float. Every guessed L must satisfy bound(L) <= eps
-    # and lie within 1e-12 max(1, |L|) of the search's, wherever the value
-    # bound there is a normal float and the bound reads differently at the
+    # and lie within 1e-12 max(1, |L|) of the search's, wherever the bound's
+    # exponential factor there is a normal float and the bound reads differently at the
     # two points. Where e^(-t^2/2) is subnormal the float bound steps far
     # wider than an ulp of L and need not be monotone; where it reads the
     # same, the two are equally good (Exponential(1e-17) at eps = 1: the
@@ -322,43 +324,46 @@ def test_effective_lower_cutoff_matches_full_bisection(family):
     degenerate = [Exponential(1e-17), GaussTail(1e300), ShiftedGaussian(1e-200),
                   ShiftedGaussian(1e150)]
     cases = [(f, f) for f in bases + degenerate]
-    cases += [(f, w) for f in bases for w, _, _ in _wrappers(f)]
+    cases += [(f, w) for f in bases for w, _ in _wrappers(f)]
     combo = combination(2.0, GaussTail(2.0, 0.7), -0.5, ShiftedGaussian(2.0, -0.3))
     cases.append((None, combo))
     moved = 0
     for base, f in cases:
         for eps in (1e3, 1.0, 1e-3, 1e-8, 1e-12, 1e-30, 1e-300, *10.0 ** -np.arange(5, 300, 11)):
-            for value_only in (False, True):
-                got = _outcome(effective_lower_cutoff, f, eps, value_only)
-                want = _outcome(_full_bisection, f, eps, value_only)
-                if base is None or isinstance(want, tuple):
-                    assert got == want, (f.label, eps, value_only)
-                    continue
-                raw_bound = f.value_tail_bound if value_only else f.tail_bound
-                assert raw_bound(got) <= eps, (f.label, eps, value_only)
-                if base.value_tail_bound(want) >= tiny and raw_bound(got) != raw_bound(want):
-                    assert abs(got - want) <= 1e-12 * max(1.0, abs(got)), (f.label, eps, value_only)
-                    moved += got != want
+            got = _outcome(effective_lower_cutoff, f, eps)
+            want = _outcome(_full_bisection, f, eps)
+            if base is None or isinstance(want, tuple):
+                assert got == want, (f.label, eps)
+                continue
+            assert f.tail_bound(got) <= eps, (f.label, eps)
+            if _decay_factor(base, want) >= tiny and f.tail_bound(got) != f.tail_bound(want):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(got)), (f.label, eps)
+                moved += got != want
     assert moved > 1000  # the guesses do move off the search's float
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-12, math.nan])
+def test_effective_lower_cutoff_refuses_a_non_positive_epsilon(eps):
+    with pytest.raises(DomainError):
+        effective_lower_cutoff(Exponential(1.0), eps)
 
 
 def test_wrapper_bounds_match_their_formulas(family):
     grid = [*np.linspace(-800.0, 50.0, 171), -1e-300, 0.0, 1e-300]
     for f in family + [GaussTail(0.5, -1.0), ShiftedGaussian(0.5, 1.0)]:
-        for g, tail, value in _wrappers(f):
+        for g, tail in _wrappers(f):
             for L in grid:
                 assert g.tail_bound(L) == tail(L), (g.label, L)
-                assert g.value_tail_bound(L) == value(L), (g.label, L)
 
 
 def _counted(f):
-    """f whose tail_bound and value_tail_bound calls are counted in f.calls."""
+    """f whose tail_bound calls are counted in f.calls."""
     f.calls = 0
-    for name in ("tail_bound", "value_tail_bound"):
-        def counted(L, bound=getattr(f, name)):
-            f.calls += 1
-            return bound(L)
-        setattr(f, name, counted)
+
+    def counted(L, bound=f.tail_bound):
+        f.calls += 1
+        return bound(L)
+    f.tail_bound = counted
     return f
 
 
@@ -366,9 +371,9 @@ def test_effective_lower_cutoff_inverts_builtin_bounds_in_closed_form():
     # Wherever a built-in or a wrapper of one has a closed-form guess, the
     # guess or one retry a few ulps left of it passes the bound: a call
     # costs at most 2 bound evaluations, not the ~59 of the walk and
-    # bisection. Excluded: cutoffs where the bound's exponential factor (the
-    # value bound) is subnormal, whose float steps are far wider than an
-    # ulp of L, so the search runs there.
+    # bisection. Excluded: cutoffs where the bound's exponential factor is
+    # subnormal, whose float steps are far wider than an ulp of L, so the
+    # search runs there.
     tiny = np.finfo(float).tiny
     fast = 0
     for base in (Exponential(1.0), Exponential(2.0), Exponential(1e-3), GaussTail(1.0, 0.0),
@@ -378,29 +383,28 @@ def test_effective_lower_cutoff_inverts_builtin_bounds_in_closed_form():
         views += [solve_problem(spec, f) for spec, _ in _SOLUTIONS]
         for g in views:
             for eps in 10.0 ** -np.arange(-3, 301):
-                for value_only in (False, True):
-                    if g._cutoff_guess(math.log(eps), value_only) is None:
-                        continue
-                    f.calls = 0
-                    L = effective_lower_cutoff(g, eps, value_only)
-                    calls = f.calls
-                    if base.value_tail_bound(L) >= tiny:
-                        assert calls <= 2, (g.label, eps, value_only, calls)
-                        fast += 1
-    assert fast > 29000
+                if g._cutoff_guess(math.log(eps)) is None:
+                    continue
+                f.calls = 0
+                L = effective_lower_cutoff(g, eps)
+                calls = f.calls
+                if _decay_factor(base, L) >= tiny:
+                    assert calls <= 2, (g.label, eps, calls)
+                    fast += 1
+    assert fast > 14500
     # Without a closed form, a combination keeps the search.
     term = _counted(GaussTail(2.0, 0.7))
     combo = combination(2.0, term, -0.5, ShiftedGaussian(2.0, -0.3))
     for eps in (1e-8, 1e-12, 1e-30):
         term.calls = 0
-        assert effective_lower_cutoff(combo, eps) == _full_bisection(combo, eps, False)
+        assert effective_lower_cutoff(combo, eps) == _full_bisection(combo, eps)
         assert term.calls > 2 * 52  # this call's and the reference's bisections
 
 
 def test_tail_bounds_cover_every_derivative():
     # The contract every truncation rests on: left of L, tail_bound(L) bounds
-    # |f^(k)| for every analytic order k and value_tail_bound(L) bounds |f|.
-    # The bounds hold for exact values; evaluating f rounds a few ulps.
+    # |f^(k)| for every analytic order k, |f| (k = 0) included. The bound
+    # holds for exact values; evaluating f rounds a few ulps.
     rounding = 1.0 + 64.0 * np.finfo(float).eps
     functions = [
         Exponential(0.5), Exponential(1.0), Exponential(3.0),
@@ -412,7 +416,6 @@ def test_tail_bounds_cover_every_derivative():
             xi = L - np.concatenate([[0.0], np.geomspace(1e-9, 40.0, 120)])
             worst = max(np.max(np.abs(f.derivative(k, xi))) for k in range(BUILTIN_ORDER + 1))
             assert worst <= f.tail_bound(L) * rounding, (f.label, L)
-            assert np.max(np.abs(f(xi))) <= f.value_tail_bound(L) * rounding, (f.label, L)
 
 
 def test_sample_examples():

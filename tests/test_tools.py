@@ -94,6 +94,7 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
     assert argvs[0] == ["selftest"]
     operators = [["--variant", "classic"], ["--variant", "power", "-m", "3"],
                  ["--variant", "symmetric_ndim", "-n", "3"],
+                 ["--variant", "symmetric_ndim", "-n", "7"],
                  ["--variant", "quadform", "--matrix", "2"]]
     for function in ("exp", "gauss_tail", "shifted_gaussian"):
         for operator in operators:
@@ -117,7 +118,7 @@ def test_deck_diff_fixed_ops_must_stay_byte_identical():
         assert argv[1:5] == ["--variant", "quadform", "--matrix", "2"]
         assert "--mc-samples" not in argv
     assert verifies[-1][verifies[-1].index("--window") + 1] == "0.5:1.5"
-    assert len(argvs) == 21
+    assert len(argvs) == 24
 
     # Unlike a quadform verify op, a quadform forward op may not move; its
     # grid's move is sized as a solve op's is.

@@ -8,8 +8,9 @@ trees to compare:
 The ``verify`` and ``solve_grid`` decks of ``bench/workloads.py`` are built
 at each seed in SEEDS, with their matrix files in a temporary directory.
 Next to them run the fixed ops of ``fixed_ops``: ``selftest``, and
-``forward`` for the classic, power m=3, symmetric_ndim n=3 and quadform
-(``--matrix 2``) operators on each built-in function, a classic
+``forward`` for the classic, power m=3, symmetric_ndim n=3 and n=7 and
+quadform (``--matrix 2``) operators on each built-in function (n=7's
+weight y^6 is where a short cutoff shows), a classic
 ``solve`` on a sparse grid (SPARSE_GRID) of each: no bench deck reads a
 grid whose every panel is sparse, a classic ``solve`` of a sigma=0.5
 Gaussian on 20001 points of -6:6, whose CSV mixes fixed and exponent
@@ -59,6 +60,7 @@ SEEDS = (1, 7, 17)
 # The forward operators of the fixed ops, each as its --variant value and
 # datum flags, and the functions each is applied to.
 FORWARD_OPERATORS = (("classic",), ("power", "-m", "3"), ("symmetric_ndim", "-n", "3"),
+                     ("symmetric_ndim", "-n", "7"),
                      ("quadform", "--matrix", "2", "--mc-samples", "20000"))
 FUNCTIONS = ("exp", "gauss_tail", "shifted_gaussian")
 # About 17 grid points per unit panel, all of them sparse, in one direct
